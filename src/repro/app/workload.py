@@ -109,6 +109,12 @@ def hotspot_workload(n: int, dest: DestId, per_source: int, seed: int) -> Worklo
     return Workload("hotspot", subs)
 
 
+def hotspot_per_source(n: int, messages: int) -> int:
+    """The per-source count of a hotspot workload of about ``messages``
+    messages on ``n`` processors: whole batches, at least one each."""
+    return max(1, messages // max(n - 1, 1))
+
+
 def burst_workload(
     n: int, bursts: int, burst_size: int, gap: int, seed: int
 ) -> Workload:

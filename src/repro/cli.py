@@ -23,27 +23,21 @@ Entry points (also available via ``python -m repro``):
 from __future__ import annotations
 
 import argparse
+import json
+import pathlib
 import sys
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
-from repro.app.workload import hotspot_workload, uniform_workload
+from repro.app.workload import hotspot_per_source
+from repro.errors import ConfigurationError, ReproError
 from repro.experiments import EXPERIMENTS, run_experiment
 from repro.network.topologies import topology_by_name
-from repro.sim.runner import build_simulation, delivered_and_drained
-from repro.statemodel.daemon import (
-    CentralRandomDaemon,
-    DistributedRandomDaemon,
-    RoundRobinDaemon,
-    SynchronousDaemon,
-)
+from repro.sim.runner import delivered_and_drained
+from repro.sim.spec import _DAEMONS
 from repro.viz.ascii_art import render_component_state, render_network
 
-_DAEMONS = {
-    "synchronous": lambda seed: SynchronousDaemon(),
-    "central": CentralRandomDaemon,
-    "distributed": DistributedRandomDaemon,
-    "round-robin": lambda seed: RoundRobinDaemon(),
-}
+#: The ``--daemon`` choices: the spec's daemon names, hyphenated.
+_DAEMON_FLAGS = sorted(name.replace("_", "-") for name in _DAEMONS)
 
 _TOPOLOGY_ARGS = {
     "line": ("n",),
@@ -56,6 +50,37 @@ _TOPOLOGY_ARGS = {
     "fig1": (),
     "fig3": (),
 }
+
+
+def _instance_flags(
+    topology: str, n: int, rows: int, cols: int, dim: int,
+    protocol_help: str = "forwarding protocol (registry name; see "
+                         "repro.core.registry)",
+) -> argparse.ArgumentParser:
+    """The parent parser of the instance flags shared by ``simulate``,
+    ``runtime`` and ``verify``, with one command's defaults (a fresh parser
+    per command: argparse parents share their action objects)."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--topology", default=topology, choices=sorted(_TOPOLOGY_ARGS))
+    parent.add_argument("--n", type=int, default=n)
+    parent.add_argument("--rows", type=int, default=rows)
+    parent.add_argument("--cols", type=int, default=cols)
+    parent.add_argument("--dim", type=int, default=dim)
+    parent.add_argument("--seed", type=int, default=0)
+    parent.add_argument(
+        "--protocol", default="ssmfp", metavar="NAME", help=protocol_help
+    )
+    return parent
+
+
+def _workload_flags(messages: int) -> argparse.ArgumentParser:
+    """The parent parser of ``--messages/--workload`` (simulate, runtime)."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--messages", type=int, default=messages)
+    parent.add_argument(
+        "--workload", default="uniform", choices=["uniform", "hotspot"]
+    )
+    return parent
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -89,6 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser(
         "verify",
+        parents=[_instance_flags("line", n=3, rows=2, cols=2, dim=2)],
         help="re-run a record and check the fingerprint matches, or "
              "(without a record) model-check an instance exhaustively",
     )
@@ -98,13 +124,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "described by the flags below instead",
     )
     ver.add_argument(
-        "--topology", default="line", choices=sorted(_TOPOLOGY_ARGS)
-    )
-    ver.add_argument("--n", type=int, default=3)
-    ver.add_argument("--rows", type=int, default=2)
-    ver.add_argument("--cols", type=int, default=2)
-    ver.add_argument("--dim", type=int, default=2)
-    ver.add_argument(
         "--messages", type=int, default=2,
         help="submissions fed to the instance (round-robin sources, "
              "seeded random destinations)",
@@ -112,12 +131,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument(
         "--garbage", type=float, default=0.0,
         help="fraction of buffers pre-filled with invalid messages",
-    )
-    ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument(
-        "--protocol", default="ssmfp", metavar="NAME",
-        help="forwarding protocol to model-check (registry name; "
-             "see repro.core.registry)",
     )
     ver.add_argument(
         "--engine", default="snapshot",
@@ -236,22 +249,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser(
         "runtime",
+        parents=[
+            _instance_flags(
+                "ring", n=8, rows=3, cols=3, dim=3,
+                protocol_help="forwarding protocol the cluster runs "
+                              "(registry name; ssmfp2 caps lanes at "
+                              "window 1 — stop-and-wait hops)",
+            ),
+            _workload_flags(messages=200),
+        ],
         help="run a live asyncio cluster and check conformance",
-    )
-    run.add_argument("--topology", default="ring", choices=sorted(_TOPOLOGY_ARGS))
-    run.add_argument("--n", type=int, default=8)
-    run.add_argument("--rows", type=int, default=3)
-    run.add_argument("--cols", type=int, default=3)
-    run.add_argument("--dim", type=int, default=3)
-    run.add_argument("--messages", type=int, default=200)
-    run.add_argument(
-        "--workload", default="uniform", choices=["uniform", "hotspot"]
-    )
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument(
-        "--protocol", default="ssmfp", metavar="NAME",
-        help="forwarding protocol the cluster runs (registry name; "
-             "ssmfp2 caps lanes at window 1 — stop-and-wait hops)",
     )
     run.add_argument("--transport", default="local", choices=["local", "tcp"])
     run.add_argument(
@@ -287,28 +294,17 @@ def _build_parser() -> argparse.ArgumentParser:
         help="max records packed into one wire frame",
     )
     run.add_argument(
-        "--wire-version", type=int, default=2, choices=[1, 2],
-        help="frame encoding: 2 = binary (default), 1 = legacy JSON",
-    )
-    run.add_argument(
         "--jsonl", default=None, metavar="PATH",
         help="write run metrics as a repro.obs/v1 JSONL artifact",
     )
 
-    simp = sub.add_parser("simulate", help="run one simulation")
-    simp.add_argument("--topology", default="ring", choices=sorted(_TOPOLOGY_ARGS))
-    simp.add_argument("--n", type=int, default=8)
-    simp.add_argument("--rows", type=int, default=3)
-    simp.add_argument("--cols", type=int, default=3)
-    simp.add_argument("--dim", type=int, default=3)
-    simp.add_argument("--messages", type=int, default=20)
-    simp.add_argument(
-        "--workload", default="uniform", choices=["uniform", "hotspot"]
-    )
-    simp.add_argument("--seed", type=int, default=0)
-    simp.add_argument(
-        "--protocol", default="ssmfp", metavar="NAME",
-        help="forwarding protocol to simulate (registry name)",
+    simp = sub.add_parser(
+        "simulate",
+        parents=[
+            _instance_flags("ring", n=8, rows=3, cols=3, dim=3),
+            _workload_flags(messages=20),
+        ],
+        help="run one simulation",
     )
     simp.add_argument(
         "--corrupt", default="none", choices=["none", "random", "worst"],
@@ -319,7 +315,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="fraction of buffers pre-filled with invalid messages",
     )
     simp.add_argument(
-        "--daemon", default="distributed", choices=sorted(_DAEMONS)
+        "--daemon", default="distributed", choices=_DAEMON_FLAGS
     )
     simp.add_argument("--max-steps", type=int, default=500_000)
     simp.add_argument(
@@ -343,7 +339,36 @@ def _make_network(args):
     return topology_by_name(args.topology, **kwargs)
 
 
-def _cmd_list() -> int:
+def _instance_sections(args) -> Dict[str, Any]:
+    """The spec sections the instance and workload flags describe:
+    topology, workload, protocol and seed (shared by ``sim.spec`` dicts
+    and scenario specs)."""
+    kwargs = {key: getattr(args, key) for key in _TOPOLOGY_ARGS[args.topology]}
+    if args.workload == "uniform":
+        workload = {"count": args.messages}
+    else:
+        n = topology_by_name(args.topology, **kwargs).n
+        workload = {"dest": 0, "per_source": hotspot_per_source(n, args.messages)}
+    return {
+        "topology": {"name": args.topology, "kwargs": kwargs},
+        "workload": {"name": args.workload, "kwargs": workload},
+        "protocol": args.protocol,
+        "seed": args.seed,
+    }
+
+
+def _load_json(path: str, what: str) -> Any:
+    """Parse a JSON file; unreadable or malformed input is a readable
+    :class:`ConfigurationError`."""
+    try:
+        return json.loads(pathlib.Path(path).read_text())
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read {what}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"{path} is not valid JSON: {exc}") from None
+
+
+def _cmd_list(args) -> int:
     width = max(len(k) for k in EXPERIMENTS)
     for exp_id, (description, _) in EXPERIMENTS.items():
         print(f"{exp_id.ljust(width)}  {description}")
@@ -366,56 +391,35 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    from repro.core.registry import resolve
-    from repro.errors import ConfigurationError
+    from repro.sim.spec import simulation_from_spec
 
-    try:
-        resolve(args.protocol)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    net = _make_network(args)
-    if args.workload == "uniform":
-        workload = uniform_workload(net.n, args.messages, seed=args.seed)
-    else:
-        workload = hotspot_workload(
-            net.n, dest=0, per_source=max(1, args.messages // max(net.n - 1, 1)),
-            seed=args.seed,
-        )
+    spec = {
+        **_instance_sections(args),
+        "daemon": {"name": args.daemon.replace("-", "_")},
+    }
+    if args.corrupt != "none":
+        spec["routing"] = {"corruption": {"kind": args.corrupt}}
+    if args.garbage:
+        spec["garbage"] = {"fraction": args.garbage}
     registry = tracer = None
     if args.jsonl or args.timeline is not None:
         from repro.obs import MessageTracer, MetricsRegistry
 
         registry = MetricsRegistry()
         tracer = MessageTracer()
-    sim = build_simulation(
-        net,
-        workload=workload,
-        routing_corruption=(
-            None if args.corrupt == "none"
-            else {"kind": args.corrupt, "seed": args.seed}
-        ),
-        garbage=(
-            {"fraction": args.garbage, "seed": args.seed} if args.garbage else None
-        ),
-        daemon=_DAEMONS[args.daemon](args.seed),
-        seed=args.seed,
-        protocol=args.protocol,
-        obs=registry,
-        tracer=tracer,
-    )
-    print(render_network(net))
+    sim = simulation_from_spec(spec, obs=registry, tracer=tracer)
+    print(render_network(sim.net))
     print()
-    watched = args.watch
-    for _ in range(args.max_steps):
-        if delivered_and_drained(sim):
-            break
-        if watched is not None and sim.sim.step_count % 25 == 0:
-            print(f"-- step {sim.sim.step_count}")
-            print(render_component_state(sim.forwarding, watched))
-        report = sim.step()
-        if report.terminal and not sim._fast_forward_workload():
-            break
+
+    def halt(simulation) -> bool:
+        if delivered_and_drained(simulation):
+            return True
+        if args.watch is not None and simulation.sim.step_count % 25 == 0:
+            print(f"-- step {simulation.sim.step_count}")
+            print(render_component_state(simulation.forwarding, args.watch))
+        return False
+
+    sim.run(args.max_steps, halt=halt, raise_on_limit=False)
     ledger = sim.ledger
     print(
         f"steps={sim.sim.step_count} rounds={sim.sim.round_count} "
@@ -452,8 +456,6 @@ def _cmd_all(args) -> int:
     from repro.experiments.registry import main as run_all
 
     if args.jsonl_dir:
-        import pathlib
-
         from repro.experiments.registry import run_experiment_with_artifact
 
         out_dir = pathlib.Path(args.jsonl_dir)
@@ -488,20 +490,9 @@ def _cmd_obs(args) -> int:
 
 
 def _cmd_record(args) -> int:
-    import json
-    import pathlib
-
-    from repro.errors import ReproError
     from repro.sim.recording import record_run
 
-    try:
-        spec = json.loads(pathlib.Path(args.spec).read_text())
-    except OSError as exc:
-        print(f"error: cannot read spec: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: {args.spec} is not valid JSON: {exc}", file=sys.stderr)
-        return 2
+    spec = _load_json(args.spec, "spec")
     try:
         record = record_run(spec, max_steps=args.max_steps)
     except ReproError as exc:
@@ -518,10 +509,6 @@ def _cmd_record(args) -> int:
 def _cmd_verify(args) -> int:
     if args.record is None:
         return _cmd_verify_exhaustive(args)
-    import json
-    import pathlib
-
-    from repro.errors import ReproError
     from repro.sim.recording import RunRecord, verify_record
 
     try:
@@ -560,15 +547,10 @@ def _cmd_verify_exhaustive(args) -> int:
     from repro.core.corruption import plant_invalid_messages
     from repro.core.ledger import DeliveryLedger
     from repro.core.registry import resolve
-    from repro.errors import ConfigurationError, ReproError
     from repro.routing.static import StaticRouting
     from repro.verify import LivenessChecker, ModelChecker
 
-    try:
-        proto_cls = resolve(args.protocol)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    proto_cls = resolve(args.protocol)
     net = _make_network(args)
 
     def make():
@@ -686,22 +668,19 @@ def _cmd_verify_exhaustive(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    import json
-    import pathlib
-
     from repro.core.registry import resolve
-    from repro.errors import ConfigurationError
     from repro.sim.campaign import run_sweep
     from repro.sim.recording import sweep_outcome_row
     from repro.sim.reporting import format_table
 
-    try:
-        resolve(args.protocol)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    data = json.loads(pathlib.Path(args.specs).read_text())
-    specs = data["specs"] if isinstance(data, dict) else data
+    resolve(args.protocol)
+    data = _load_json(args.specs, "specs")
+    specs = data.get("specs") if isinstance(data, dict) else data
+    if not isinstance(specs, list) or not all(isinstance(s, dict) for s in specs):
+        raise ConfigurationError(
+            f"{args.specs}: expected a list of spec objects or "
+            f"{{'specs': [...]}}"
+        )
     labels, configs = [], []
     for i, spec in enumerate(specs):
         spec = dict(spec)
@@ -733,8 +712,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_runtime(args) -> int:
-    from repro.errors import ConfigurationError
-    from repro.runtime import ClusterSpec, run_cluster
+    from repro.runtime import run_cluster
+    from repro.scenario import ScenarioSpec
+    from repro.scenario.runtimedriver import build_cluster_spec
 
     netem = {
         "loss": args.loss,
@@ -752,27 +732,22 @@ def _cmd_runtime(args) -> int:
     if args.flap_period is not None:
         netem["flap_period"] = args.flap_period
         netem["flap_down"] = args.flap_down
-    kwargs = {key: getattr(args, key) for key in _TOPOLOGY_ARGS[args.topology]}
-    spec = ClusterSpec(
-        topology={"name": args.topology, "kwargs": kwargs},
-        messages=args.messages,
-        seed=args.seed,
-        protocol=args.protocol,
-        transport=args.transport,
-        procs=args.procs,
-        workload=args.workload,
-        netem=netem,
-        deadline=args.deadline,
-        port_base=args.port_base,
-        window=args.window,
-        max_batch=args.max_batch,
-        wire_version=args.wire_version,
+    scenario = ScenarioSpec.from_dict(
+        {
+            **_instance_sections(args),
+            "target": "runtime",
+            "budgets": {"wall_s": args.deadline},
+            "runtime": {
+                "transport": args.transport,
+                "procs": args.procs,
+                "port_base": args.port_base,
+                "window": args.window,
+                "max_batch": args.max_batch,
+                "netem": netem,
+            },
+        }
     )
-    try:
-        result = run_cluster(spec)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    result = run_cluster(build_cluster_spec(scenario))
     print(result.summary())
     if args.jsonl:
         from repro.obs.export import write_jsonl
@@ -796,7 +771,6 @@ def _cmd_runtime(args) -> int:
 
 
 def _cmd_scenario(args) -> int:
-    from repro.errors import ReproError
     from repro.scenario import (
         ScenarioSpec,
         load_scenario_file,
@@ -804,40 +778,27 @@ def _cmd_scenario(args) -> int:
         run_one_scenario,
     )
 
-    try:
-        data = load_scenario_file(args.spec)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
+    data = load_scenario_file(args.spec)
     if args.scenario_command == "campaign":
-        try:
-            campaign = run_campaign(
-                data,
-                target=args.target,
-                smoke=args.smoke,
-                workers=args.workers,
-                artifact_dir=args.artifact_dir,
-                jsonl_path=args.jsonl,
-            )
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        campaign = run_campaign(
+            data,
+            target=args.target,
+            smoke=args.smoke,
+            workers=args.workers,
+            artifact_dir=args.artifact_dir,
+            jsonl_path=args.jsonl,
+        )
         print(campaign.summary())
         if args.jsonl:
             print(f"artifact: {args.jsonl}", file=sys.stderr)
         return 0 if campaign.ok else 1
 
-    try:
-        if args.target is not None:
-            data = {**data, "target": args.target}
-        spec = ScenarioSpec.from_dict(data)
-        if args.smoke:
-            spec = spec.smoked()
-        result = run_one_scenario(spec)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.target is not None:
+        data = {**data, "target": args.target}
+    spec = ScenarioSpec.from_dict(data)
+    if args.smoke:
+        spec = spec.smoked()
+    result = run_one_scenario(spec)
     print(result.summary())
     if args.jsonl:
         from repro.obs.export import write_jsonl
@@ -858,28 +819,31 @@ def _cmd_scenario(args) -> int:
     return 0 if result.ok else 1
 
 
+_COMMANDS = {
+    "list": _cmd_list,
+    "experiment": _cmd_experiment,
+    "all": _cmd_all,
+    "record": _cmd_record,
+    "verify": _cmd_verify,
+    "sweep": _cmd_sweep,
+    "obs": _cmd_obs,
+    "scenario": _cmd_scenario,
+    "runtime": _cmd_runtime,
+    "simulate": _cmd_simulate,
+}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    A library error (bad flags, bad spec, unreadable file) prints
+    ``error: ...`` and exits 2 instead of a traceback."""
     args = _build_parser().parse_args(argv)
-    if args.command == "list":
-        return _cmd_list()
-    if args.command == "experiment":
-        return _cmd_experiment(args)
-    if args.command == "all":
-        return _cmd_all(args)
-    if args.command == "record":
-        return _cmd_record(args)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    if args.command == "obs":
-        return _cmd_obs(args)
-    if args.command == "scenario":
-        return _cmd_scenario(args)
-    if args.command == "runtime":
-        return _cmd_runtime(args)
-    return _cmd_simulate(args)
+    try:
+        return _COMMANDS[args.command](args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -24,12 +24,7 @@ from repro.runtime.transport import (
     Transport,
     allocate_ports,
 )
-from repro.runtime.wire import (
-    WIRE_V1,
-    WIRE_V2,
-    WireFormatError,
-    WireVersionError,
-)
+from repro.runtime.wire import WIRE_V2, WireFormatError
 
 __all__ = [
     "ClusterSpec",
@@ -43,10 +38,8 @@ __all__ = [
     "RuntimeResult",
     "TcpTransport",
     "Transport",
-    "WIRE_V1",
     "WIRE_V2",
     "WireFormatError",
-    "WireVersionError",
     "allocate_ports",
     "check_events",
     "run_cluster",

@@ -45,7 +45,6 @@ from repro.runtime.transport import (
     Transport,
     allocate_ports,
 )
-from repro.runtime.wire import WireVersionError
 
 _WORKLOADS = {
     "uniform": workload_mod.uniform_workload,
@@ -81,7 +80,6 @@ class ClusterSpec:
     retry_cap: float = 0.4
     window: int = 32                    #: in-flight DATA per (edge, dest) lane
     max_batch: int = 64                 #: max records packed into one frame
-    wire_version: int = 2               #: frame encoding: 2 binary, 1 JSON
     #: Test hook: (worker_index, seconds) — that worker hard-exits mid-run.
     kill_worker_after: Optional[Tuple[int, float]] = None
     #: Timed chaos events lowered onto the wall clock by
@@ -116,7 +114,7 @@ class ClusterSpec:
         if self.workload == "uniform":
             wl = workload_mod.uniform_workload(net.n, self.messages, seed=self.seed)
         elif self.workload == "hotspot":
-            per_source = max(1, self.messages // max(net.n - 1, 1))
+            per_source = workload_mod.hotspot_per_source(net.n, self.messages)
             wl = workload_mod.hotspot_workload(
                 net.n, dest=0, per_source=per_source, seed=self.seed
             )
@@ -279,17 +277,11 @@ def _build_transport(
     ports: Optional[Dict[int, Tuple[str, int]]] = None,
     netem_seed: int = 0,
 ) -> Transport:
-    if spec.wire_version not in (1, 2):
-        raise ConfigurationError(
-            f"unknown wire version {spec.wire_version!r} (expected 1 or 2)"
-        )
     if spec.transport == "local":
-        base: Transport = LocalTransport(net, wire_version=spec.wire_version)
+        base: Transport = LocalTransport(net)
     elif spec.transport == "tcp":
         ports = ports or allocate_ports(net, base=spec.port_base)
-        base = TcpTransport(
-            net, ports, local_pids=local_pids, wire_version=spec.wire_version
-        )
+        base = TcpTransport(net, ports, local_pids=local_pids)
     else:
         raise ConfigurationError(f"unknown transport {spec.transport!r}")
     netem = spec.build_netem()
@@ -466,10 +458,6 @@ async def _run_nodes(
             for task in chaos_tasks:
                 if task.done() and task.exception() is not None:
                     raise task.exception()  # a chaos driver bug: surface it
-            if transport.protocol_errors:
-                # Mixed wire versions: no progress is possible — abort now
-                # with the readable report instead of idling to deadline.
-                raise WireVersionError(transport.protocol_errors[0])
             holder.setdefault("in_flight", []).append(
                 sum(node.in_flight() for node in nodes)
             )

@@ -11,11 +11,9 @@ does none of that by itself; the netem decorator and real TCP both do).
 End-to-end guarantees are the node protocol's job — windowed ack/retry
 plus sequence-number deduplication (:mod:`repro.runtime.node`).
 
-Each transport is locked to one wire protocol version (binary v2 by
-default, JSON v1 as the legacy fallback).  A frame of the *other* version
-is never silently dropped: it is recorded as a readable entry in
-:attr:`Transport.protocol_errors`, which the cluster surfaces as a failed
-(and conformance-FAILed) run instead of a hang.
+A frame that does not decode (truncated, corrupted, or not starting with
+the wire tag) is never delivered and never crashes the receiver: it is
+counted in ``stats["frames_dropped"]`` and the hop protocol retransmits.
 
 Two implementations:
 
@@ -40,12 +38,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.errors import ConfigurationError
 from repro.network.graph import Network
 from repro.runtime.wire import (
-    WIRE_V2,
     WireFormatError,
-    WireVersionError,
     decode_frame_body,
     encode_records,
-    expect_version,
     split_frames,
 )
 from repro.types import ProcId
@@ -53,17 +48,12 @@ from repro.types import ProcId
 #: One inbox item: (sender pid, decoded record batch).
 InboxItem = Tuple[ProcId, List[Dict[str, Any]]]
 
-#: Cap on recorded protocol errors (a chatty mismatched peer must not
-#: grow the list unboundedly before the cluster reacts).
-_MAX_PROTOCOL_ERRORS = 8
-
 
 class Transport(ABC):
     """Moves hop record batches between nodes along network edges."""
 
-    def __init__(self, net: Network, wire_version: int = WIRE_V2) -> None:
+    def __init__(self, net: Network) -> None:
         self.net = net
-        self.wire_version = wire_version
         self._inboxes: Dict[ProcId, "asyncio.Queue[InboxItem]"] = {}
         #: Plain counters (exported into the obs registry by the cluster).
         self.stats: Dict[str, int] = {
@@ -75,9 +65,6 @@ class Transport(ABC):
             "records_dropped": 0,
             "reconnects": 0,
         }
-        #: Readable wire-version mismatch reports (mixed-version cluster);
-        #: the cluster aborts the run as soon as one appears.
-        self.protocol_errors: List[str] = []
 
     def bind(self, pid: ProcId, inbox: "asyncio.Queue[InboxItem]") -> None:
         """Attach the inbox of a locally hosted node."""
@@ -86,10 +73,6 @@ class Transport(ABC):
     def _check_edge(self, src: ProcId, dst: ProcId) -> None:
         if not self.net.are_neighbors(src, dst):
             raise ConfigurationError(f"no edge {src} -> {dst} in the network")
-
-    def _record_protocol_error(self, message: str) -> None:
-        if len(self.protocol_errors) < _MAX_PROTOCOL_ERRORS:
-            self.protocol_errors.append(message)
 
     def _dispatch(
         self, src: ProcId, dst: ProcId, records: List[Dict[str, Any]]
@@ -128,8 +111,8 @@ class LocalTransport(Transport):
         self.stats["records_sent"] += len(records)
         # Round-trip through the wire format so both transports reject the
         # same payloads (and measure comparable serialization cost).
-        frame = encode_records(src, dst, records, self.wire_version)
-        _, f, t, decoded = decode_frame_body(frame[4:])
+        frame = encode_records(src, dst, records)
+        f, t, decoded = decode_frame_body(frame[4:])
         self._dispatch(f, t, decoded)
 
 
@@ -146,8 +129,6 @@ class TcpTransport(Transport):
     local_pids:
         The nodes hosted by this process; one listening server is started
         for each.
-    wire_version:
-        The frame encoding this process speaks (v2 binary by default).
     backoff_base / backoff_cap:
         Reconnect backoff: ``base * 2**attempt`` seconds, capped.
     edge_queue:
@@ -160,12 +141,11 @@ class TcpTransport(Transport):
         net: Network,
         ports: Dict[ProcId, Tuple[str, int]],
         local_pids: Optional[Tuple[ProcId, ...]] = None,
-        wire_version: int = WIRE_V2,
         backoff_base: float = 0.05,
         backoff_cap: float = 1.0,
         edge_queue: int = 1024,
     ) -> None:
-        super().__init__(net, wire_version=wire_version)
+        super().__init__(net)
         missing = [p for p in net.processors() if p not in ports]
         if missing:
             raise ConfigurationError(f"ports missing for processors {missing}")
@@ -237,12 +217,7 @@ class TcpTransport(Transport):
                     break  # corrupted stream: drop the connection
                 for body in bodies:
                     try:
-                        version, src, dst, records = decode_frame_body(body)
-                        expect_version(version, self.wire_version)
-                    except WireVersionError as exc:
-                        self._record_protocol_error(str(exc))
-                        self.stats["frames_dropped"] += 1
-                        continue
+                        src, dst, records = decode_frame_body(body)
                     except WireFormatError:
                         self.stats["frames_dropped"] += 1
                         continue
@@ -263,7 +238,7 @@ class TcpTransport(Transport):
         self._check_edge(src, dst)
         if src not in self._inboxes and src not in self.local_pids:
             raise ConfigurationError(f"processor {src} is not hosted here")
-        frame = encode_records(src, dst, records, self.wire_version)
+        frame = encode_records(src, dst, records)
         key = (src, dst)
         queue = self._edge_queues.get(key)
         if queue is None:

@@ -20,6 +20,7 @@ primary pass criterion.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Any, Dict, List
 
 from repro.scenario.result import ScenarioResult, evaluate_pass
@@ -66,27 +67,27 @@ def lower_runtime_schedule(spec: ScenarioSpec) -> List[Dict[str, Any]]:
 
 
 def build_cluster_spec(spec: ScenarioSpec):
-    """The :class:`~repro.runtime.cluster.ClusterSpec` for this scenario."""
+    """The :class:`~repro.runtime.cluster.ClusterSpec` for this scenario.
+
+    ``[runtime]`` keys are forwarded only when the spec sets them, coerced
+    to the type of the field's default; every other field keeps the
+    :class:`ClusterSpec` default.  An empty schedule means no chaos."""
     from repro.runtime.cluster import ClusterSpec
 
-    extras = spec.runtime_extras
+    defaults = {f.name: f.default for f in dataclasses.fields(ClusterSpec)}
+    extras = {
+        key: value if defaults[key] is None else type(defaults[key])(value)
+        for key, value in spec.runtime_extras.items()
+    }
     return ClusterSpec(
         topology=dict(spec.topology),
         messages=spec.messages(),
         seed=spec.seed,
         protocol=spec.protocol,
-        transport=str(extras.get("transport", "local")),
-        procs=int(extras.get("procs", 1)),
         workload=spec.workload["name"],
-        netem=extras.get("netem"),
         deadline=float(spec.budgets["wall_s"]),
-        drain_grace=float(extras.get("drain_grace", 1.0)),
-        port_base=int(extras.get("port_base", 0)),
-        tick=float(extras.get("tick", 0.005)),
-        window=int(extras.get("window", 32)),
-        max_batch=int(extras.get("max_batch", 64)),
-        wire_version=int(extras.get("wire_version", 2)),
-        chaos=lower_runtime_schedule(spec),
+        chaos=lower_runtime_schedule(spec) or None,
+        **extras,
     )
 
 

@@ -70,6 +70,14 @@ from repro.errors import ConfigurationError
 from repro.network.graph import Network
 from repro.network.topologies import topology_by_name
 from repro.scenario.actions import ACTIONS, ScheduleEvent, validate_schedule
+from repro.sim.spec import (
+    _SYSTEM_KEYS as _SIM_KEYS,
+    _TOPOLOGY_KEYS,
+    _WORKLOAD_KEYS,
+    _WORKLOADS as _SIM_WORKLOADS,
+    _build,
+    _reject_unknown,
+)
 
 _TOP_KEYS = frozenset(
     {
@@ -78,44 +86,23 @@ _TOP_KEYS = frozenset(
         "sim", "runtime", "matrix",
     }
 )
-_TOPOLOGY_KEYS = frozenset({"name", "kwargs"})
-_WORKLOAD_KEYS = frozenset({"name", "kwargs"})
 _CLOCK_KEYS = frozenset({"sim_steps_per_unit", "runtime_s_per_unit"})
 _BUDGET_KEYS = frozenset({"max_steps", "wall_s", "messages"})
 _PASS_KEYS = frozenset(
     {"deliver_all", "max_duplicates", "max_steps", "max_rounds",
      "max_wall_s", "max_latency_p99_s"}
 )
-#: Simulate-only extras, passed through to :func:`repro.sim.spec`.
-_SIM_KEYS = frozenset(
-    {"routing", "garbage", "scramble_choice_queues", "daemon",
-     "protocol_options", "ledger_strict"}
-)
-#: Runtime-only extras, passed through to :class:`ClusterSpec`.
+#: Runtime-only extras, passed through to :class:`ClusterSpec`.  The
+#: simulate-only extras (``[sim]``) are :mod:`repro.sim.spec`'s system keys.
 _RUNTIME_KEYS = frozenset(
-    {"transport", "procs", "window", "max_batch", "wire_version", "netem",
-     "drain_grace", "tick", "port_base"}
+    {"transport", "procs", "window", "max_batch", "netem", "drain_grace",
+     "tick", "port_base"}
 )
 #: Workloads with a shared meaning on both targets (the simulator accepts
-#: more — validated per-target at compile time).
+#: every :mod:`repro.sim.spec` workload — validated per-target below).
 _SHARED_WORKLOADS = frozenset({"uniform", "hotspot"})
-_SIM_ONLY_WORKLOADS = frozenset({"permutation", "burst", "single", "same_payload"})
 
 TARGETS = ("simulate", "runtime")
-
-
-def _reject_unknown(section: str, mapping: Any, allowed: frozenset) -> None:
-    if not isinstance(mapping, dict):
-        raise ConfigurationError(
-            f"scenario section {section!r} must be an object, "
-            f"got {type(mapping).__name__}"
-        )
-    unknown = sorted(set(mapping) - allowed)
-    if unknown:
-        raise ConfigurationError(
-            f"unknown key(s) {unknown} in scenario section {section!r}; "
-            f"valid keys: {sorted(allowed)}"
-        )
 
 
 def load_scenario_file(path) -> Dict[str, Any]:
@@ -177,22 +164,17 @@ class ScenarioSpec:
         _reject_unknown("topology", topology, _TOPOLOGY_KEYS)
         if "name" not in topology:
             raise ConfigurationError("scenario section 'topology' needs a 'name'")
-        try:
-            net = topology_by_name(
-                topology["name"], **topology.get("kwargs", {})
-            )
-        except TypeError as exc:
-            raise ConfigurationError(
-                f"bad topology kwargs for {topology['name']!r}: {exc}"
-            ) from None
+        net = _build(
+            "topology", topology["name"], topology_by_name, topology["name"],
+            **topology.get("kwargs", {}),
+        )
 
         workload = data.get("workload", {"name": "uniform", "kwargs": {"count": 50}})
         _reject_unknown("workload", workload, _WORKLOAD_KEYS)
         wl_name = workload.get("name")
-        if wl_name not in _SHARED_WORKLOADS | _SIM_ONLY_WORKLOADS:
+        if wl_name not in _SIM_WORKLOADS:
             raise ConfigurationError(
-                f"unknown workload {wl_name!r}; known: "
-                f"{sorted(_SHARED_WORKLOADS | _SIM_ONLY_WORKLOADS)}"
+                f"unknown workload {wl_name!r}; known: {sorted(_SIM_WORKLOADS)}"
             )
         wl_kwargs = dict(workload.get("kwargs", {}))
         if "seed" in wl_kwargs:
@@ -382,10 +364,7 @@ class ScenarioSpec:
             "protocol": self.protocol,
             "seed": self.seed,
         }
-        for key in ("routing", "garbage", "scramble_choice_queues",
-                    "daemon", "protocol_options", "ledger_strict"):
-            if key in self.sim_extras:
-                spec[key] = copy.deepcopy(self.sim_extras[key])
+        spec.update(copy.deepcopy(self.sim_extras))
         return spec
 
     def flood_total(self) -> int:

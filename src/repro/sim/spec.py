@@ -64,15 +64,19 @@ _DAEMONS = {
 #: Workload generators that take the processor count as first argument.
 _N_FIRST = {"uniform", "permutation", "hotspot", "burst"}
 
-#: Every key the spec schema understands, per section.  ``label`` is
+#: Every key the spec schema understands, per section.  The system keys
+#: are also a scenario's ``[sim]`` table (:mod:`repro.scenario.spec`),
+#: which owns topology, workload, protocol and seed itself.  ``label`` is
 #: sweep-file metadata (echoed into rows, never interpreted here).
-_TOP_KEYS = frozenset(
+_SYSTEM_KEYS = frozenset(
     {
-        "topology", "workload", "routing", "garbage",
-        "scramble_choice_queues", "daemon", "protocol", "protocol_options",
-        "ssmfp", "seed", "ledger_strict", "label",
+        "routing", "garbage", "scramble_choice_queues", "daemon",
+        "protocol_options", "ledger_strict",
     }
 )
+_TOP_KEYS = _SYSTEM_KEYS | {
+    "topology", "workload", "protocol", "ssmfp", "seed", "label",
+}
 _TOPOLOGY_KEYS = frozenset({"name", "kwargs"})
 _WORKLOAD_KEYS = frozenset({"name", "kwargs"})
 _ROUTING_KEYS = frozenset({"mode", "corruption"})
@@ -97,6 +101,18 @@ def _reject_unknown(section: str, mapping: Any, allowed: frozenset) -> None:
         )
 
 
+def _build(section: str, name: str, make, /, *args, **kwargs):
+    """``make(*args, **kwargs)``, with a ``TypeError`` from bad spec
+    kwargs (unknown name, wrong type) turned into a readable
+    :class:`ConfigurationError`."""
+    try:
+        return make(*args, **kwargs)
+    except TypeError as exc:
+        raise ConfigurationError(
+            f"bad {section} kwargs for {name!r}: {exc}"
+        ) from None
+
+
 def simulation_from_spec(
     spec: Dict[str, Any], obs=None, tracer=None
 ) -> Simulation:
@@ -112,7 +128,8 @@ def simulation_from_spec(
     _reject_unknown("topology", topo, _TOPOLOGY_KEYS)
     if "name" not in topo:
         raise ConfigurationError("spec section 'topology' needs a 'name'")
-    net = topology_by_name(topo["name"], **topo.get("kwargs", {}))
+    net = _build("topology", topo["name"], topology_by_name, topo["name"],
+                 **topo.get("kwargs", {}))
 
     workload = None
     if "workload" in spec:
@@ -122,7 +139,7 @@ def simulation_from_spec(
             raise ConfigurationError("spec section 'workload' needs a 'name'")
         name = wl["name"]
         try:
-            builder = _WORKLOADS[name]
+            generator = _WORKLOADS[name]
         except KeyError:
             raise ConfigurationError(
                 f"unknown workload {name!r}; known: {sorted(_WORKLOADS)}"
@@ -130,9 +147,9 @@ def simulation_from_spec(
         kwargs = dict(wl.get("kwargs", {}))
         if name in _N_FIRST:
             kwargs.setdefault("seed", seed)
-            workload = builder(net.n, **kwargs)
+            workload = _build("workload", name, generator, net.n, **kwargs)
         else:
-            workload = builder(**kwargs)
+            workload = _build("workload", name, generator, **kwargs)
 
     routing = spec.get("routing", {})
     _reject_unknown("routing", routing, _ROUTING_KEYS)
@@ -163,7 +180,7 @@ def simulation_from_spec(
             ) from None
         kwargs = dict(d.get("kwargs", {}))
         kwargs.setdefault("seed", seed)
-        daemon = factory(**kwargs)
+        daemon = _build("daemon", d["name"], factory, **kwargs)
 
     return build_simulation(
         net,

@@ -214,3 +214,217 @@ class TestObservability:
         rows = art.rows_of_kind("sweep_row")
         assert len(rows) == 1
         assert rows[0]["label"] == "tiny"
+
+
+class TestReadableErrors:
+    """Every front door answers a bad input with ``error: ...`` and exit 2,
+    never a traceback."""
+
+    @staticmethod
+    def _assert_readable(code, capsys, needle):
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:"), err
+        assert needle in err
+        assert "Traceback" not in err
+
+    @staticmethod
+    def _spec(**extra):
+        spec = {"topology": {"name": "ring", "kwargs": {"n": 4}}}
+        spec.update(extra)
+        return spec
+
+    def test_sweep_missing_file(self, tmp_path, capsys):
+        code = main(["sweep", str(tmp_path / "nonexistent.json")])
+        self._assert_readable(code, capsys, "cannot read specs")
+
+    def test_sweep_non_json_file(self, tmp_path, capsys):
+        path = tmp_path / "specs.json"
+        path.write_text("not json at all")
+        code = main(["sweep", str(path)])
+        self._assert_readable(code, capsys, "not valid JSON")
+
+    def test_sweep_unknown_spec_key(self, tmp_path, capsys):
+        import json
+
+        path = tmp_path / "specs.json"
+        path.write_text(json.dumps([self._spec(bogus=1)]))
+        code = main(["sweep", str(path)])
+        self._assert_readable(code, capsys, "unknown key(s) ['bogus']")
+
+    def test_sweep_unknown_spec_key_in_worker(self, tmp_path, capsys):
+        import json
+
+        path = tmp_path / "specs.json"
+        path.write_text(json.dumps({"specs": [self._spec(), self._spec(bogus=1)]}))
+        code = main(["sweep", str(path), "--workers", "2"])
+        self._assert_readable(code, capsys, "unknown key(s) ['bogus']")
+
+    def test_simulate_bad_topology(self, capsys):
+        code = main(["simulate", "--topology", "ring", "--n", "2"])
+        self._assert_readable(code, capsys, "at least 3 processors")
+
+    def test_runtime_bad_topology(self, capsys):
+        code = main(["runtime", "--topology", "ring", "--n", "1"])
+        self._assert_readable(code, capsys, "at least 3 processors")
+
+    def test_verify_bad_topology(self, capsys):
+        code = main(["verify", "--topology", "ring", "--n", "2"])
+        self._assert_readable(code, capsys, "at least 3 processors")
+
+    def test_record_wrongly_typed_workload_kwargs(self, tmp_path, capsys):
+        import json
+
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(self._spec(
+            workload={"name": "uniform", "kwargs": {"count": "many"}}
+        )))
+        code = main(["record", str(path), "-o", str(tmp_path / "rec.json")])
+        self._assert_readable(code, capsys, "bad workload kwargs for 'uniform'")
+
+
+def _simulate_counts(out):
+    line = next(l for l in out.splitlines() if l.startswith("steps="))
+    return {k: int(v) for k, v in (kv.split("=") for kv in line.split())}
+
+
+class TestFrontDoor:
+    """The flag-driven commands describe the same run as a hand-written
+    spec: ``simulate`` against ``record_run`` (and the counts the command
+    printed before it ran through ``sim.spec``), ``runtime`` against the
+    ``ClusterSpec`` it used to assemble field by field."""
+
+    RING8 = {"name": "ring", "kwargs": {"n": 8}}
+
+    SIMULATE = [
+        (
+            ["--n", "8", "--messages", "20", "--seed", "1",
+             "--daemon", "synchronous"],
+            {"topology": RING8, "seed": 1,
+             "workload": {"name": "uniform", "kwargs": {"count": 20}},
+             "daemon": {"name": "synchronous"}},
+            (42, 41, 20, 20, 0),
+        ),
+        (
+            ["--n", "8", "--messages", "20", "--seed", "2", "--daemon", "central"],
+            {"topology": RING8, "seed": 2,
+             "workload": {"name": "uniform", "kwargs": {"count": 20}},
+             "daemon": {"name": "central"}},
+            (183, 14, 20, 20, 0),
+        ),
+        (
+            ["--n", "8", "--messages", "20", "--seed", "4",
+             "--daemon", "round-robin"],
+            {"topology": RING8, "seed": 4,
+             "workload": {"name": "uniform", "kwargs": {"count": 20}},
+             "daemon": {"name": "round_robin"}},
+            (177, 37, 20, 20, 0),
+        ),
+        (
+            ["--n", "6", "--messages", "6", "--corrupt", "worst",
+             "--garbage", "0.5", "--seed", "2"],
+            {"topology": {"name": "ring", "kwargs": {"n": 6}}, "seed": 2,
+             "workload": {"name": "uniform", "kwargs": {"count": 6}},
+             "routing": {"corruption": {"kind": "worst"}},
+             "garbage": {"fraction": 0.5},
+             "daemon": {"name": "distributed"}},
+            (81, 25, 6, 6, 19),
+        ),
+        (
+            ["--topology", "grid", "--rows", "3", "--cols", "3",
+             "--messages", "15", "--corrupt", "random", "--seed", "5"],
+            {"topology": {"name": "grid", "kwargs": {"rows": 3, "cols": 3}},
+             "seed": 5,
+             "workload": {"name": "uniform", "kwargs": {"count": 15}},
+             "routing": {"corruption": {"kind": "random"}},
+             "daemon": {"name": "distributed"}},
+            (92, 24, 15, 15, 0),
+        ),
+        (
+            ["--n", "8", "--workload", "hotspot", "--messages", "20",
+             "--seed", "4", "--protocol", "ssmfp2"],
+            {"topology": RING8, "seed": 4, "protocol": "ssmfp2",
+             "workload": {"name": "hotspot",
+                          "kwargs": {"dest": 0, "per_source": 2}},
+             "daemon": {"name": "distributed"}},
+            (87, 45, 14, 14, 0),
+        ),
+    ]
+
+    @pytest.mark.parametrize(
+        "flags,spec,expected", SIMULATE, ids=[" ".join(f) for f, _, _ in SIMULATE]
+    )
+    def test_simulate_matches_record_run(self, flags, spec, expected, capsys):
+        from repro.sim.recording import record_run
+
+        assert main(["simulate"] + flags) == 0
+        got = _simulate_counts(capsys.readouterr().out)
+        outcome = record_run(spec).outcome
+        keys = ("steps", "rounds", "generated", "delivered", "invalid_delivered")
+        assert tuple(got[k] for k in keys) == tuple(outcome[k] for k in keys)
+        assert tuple(got[k] for k in keys) == expected
+
+    @staticmethod
+    def _cluster_spec(monkeypatch, flags):
+        import repro.runtime
+
+        seen = []
+
+        def capture(spec):
+            seen.append(spec)
+            raise SystemExit(0)
+
+        monkeypatch.setattr(repro.runtime, "run_cluster", capture)
+        with pytest.raises(SystemExit):
+            main(["runtime"] + flags)
+        (spec,) = seen
+        return spec
+
+    @pytest.mark.parametrize(
+        "flags,fields",
+        [
+            ([], {}),
+            (["--protocol", "ssmfp2", "--topology", "grid", "--rows", "2",
+              "--cols", "3"],
+             {"protocol": "ssmfp2",
+              "topology": {"name": "grid", "kwargs": {"rows": 2, "cols": 3}}}),
+            (["--transport", "tcp", "--procs", "2", "--window", "4",
+              "--max-batch", "8", "--deadline", "9", "--seed", "5"],
+             {"transport": "tcp", "procs": 2, "window": 4, "max_batch": 8,
+              "deadline": 9.0, "seed": 5}),
+            (["--loss", "0.1", "--dup", "0.05", "--reorder", "0.02",
+              "--latency-ms", "1:3", "--flap-period", "0.5",
+              "--flap-down", "0.1"],
+             {"netem": {"loss": 0.1, "dup": 0.05, "reorder": 0.02,
+                        "latency": (0.001, 0.003), "flap_period": 0.5,
+                        "flap_down": 0.1}}),
+        ],
+    )
+    def test_runtime_cluster_spec_field_for_field(self, monkeypatch, flags, fields):
+        from repro.runtime import ClusterSpec
+
+        # The ClusterSpec the command assembled by hand before it ran
+        # through ScenarioSpec + build_cluster_spec.
+        expected = dict(
+            topology=self.RING8, messages=200, seed=0, protocol="ssmfp",
+            transport="local", procs=1, workload="uniform",
+            netem={"loss": 0.0, "dup": 0.0, "reorder": 0.0}, deadline=60.0,
+            port_base=0, window=32, max_batch=64,
+        )
+        expected.update(fields)
+        assert self._cluster_spec(monkeypatch, flags) == ClusterSpec(**expected)
+
+    def test_runtime_hotspot_counts_whole_batches(self, monkeypatch):
+        from repro.runtime import ClusterSpec
+
+        # --messages 200 on ring(8) is 28 messages from each of 7 sources.
+        # The hand-built spec stored the request (200); the front door
+        # stores the 196 messages the run generates.  Both build the same
+        # submissions.
+        got = self._cluster_spec(monkeypatch, ["--workload", "hotspot"])
+        old = ClusterSpec(
+            topology=self.RING8, messages=200, workload="hotspot",
+            netem={"loss": 0.0, "dup": 0.0, "reorder": 0.0},
+        )
+        assert got == ClusterSpec(**{**old.__dict__, "messages": 196})
+        assert got.build_submissions() == old.build_submissions()

@@ -56,7 +56,6 @@ class TestRuntimeCommand:
             [
                 "runtime", "--topology", "ring", "--n", "3",
                 "--messages", "8", "--window", "4", "--max-batch", "8",
-                "--wire-version", "1",
             ]
         )
         assert code == 0

@@ -1,5 +1,5 @@
-"""Tests for the runtime wire formats: binary v2, legacy JSON v1, the
-version-dispatching decoder, and the SACK bitmap helpers.
+"""Tests for the runtime wire format (binary v2), its tag check, and the
+SACK bitmap helpers.
 
 The fuzz classes are the satellite requirement of the batching PR: random
 record batches must round-trip bit-exact through the v2 codec, and *any*
@@ -19,15 +19,12 @@ from repro.runtime.wire import (
     MAX_FRAME,
     RACK,
     REL,
-    WIRE_V1,
     WIRE_V2,
     WireFormatError,
-    WireVersionError,
     ack_rec,
     data_rec,
     decode_frame_body,
     encode_records,
-    expect_version,
     kind_of,
     rack_rec,
     rel_rec,
@@ -84,8 +81,9 @@ class TestV2RoundTrip:
             frame = encode_records(1, 2, [rec])
             (length,) = struct.unpack(">I", frame[:4])
             assert length == len(frame) - 4
-            version, src, dst, decoded = decode_frame_body(frame[4:])
-            assert (version, src, dst) == (WIRE_V2, 1, 2)
+            assert frame[4] == WIRE_V2
+            src, dst, decoded = decode_frame_body(frame[4:])
+            assert (src, dst) == (1, 2)
             assert decoded == [rec]
 
     def test_fuzz_batches_round_trip_bit_exact(self):
@@ -96,8 +94,7 @@ class TestV2RoundTrip:
             ]
             src, dst = rng.randrange(0, 512), rng.randrange(0, 512)
             frame = encode_records(src, dst, records)
-            version, f, t, decoded = decode_frame_body(frame[4:])
-            assert version == WIRE_V2
+            f, t, decoded = decode_frame_body(frame[4:])
             assert (f, t) == (src, dst)
             assert decoded == records
             # Bit-exactness: re-encoding the decode reproduces the frame.
@@ -107,7 +104,7 @@ class TestV2RoundTrip:
         # str / int / bool / None must come back as the same Python type.
         for payload in ("text", "", 0, -7, 2**40, True, False, None, 1.5):
             frame = encode_records(0, 1, [data_rec(1, 1, 1, payload, True)])
-            _, _, _, decoded = decode_frame_body(frame[4:])
+            _, _, decoded = decode_frame_body(frame[4:])
             got = decoded[0]["p"]
             assert got == payload and type(got) is type(payload)
 
@@ -176,52 +173,30 @@ class TestV2Rejections:
 
 
 class TestV1Codec:
-    def test_round_trip(self):
-        records = [data_rec(3, 7, 42, {"x": 1}, True), ack_rec(3, 7)]
-        frame = encode_records(1, 2, records, version=WIRE_V1)
-        assert frame[4:5] == b"{"  # JSON object on the wire
-        version, src, dst, decoded = decode_frame_body(frame[4:])
-        assert (version, src, dst) == (WIRE_V1, 1, 2)
-        assert decoded == records
-
-    def test_legacy_single_record_envelope_accepted(self):
-        import json
-
-        body = json.dumps(
-            {"f": 0, "t": 1, "m": ack_rec(1, 3)}, separators=(",", ":")
-        ).encode()
-        version, src, dst, decoded = decode_frame_body(body)
-        assert version == WIRE_V1
-        assert decoded == [ack_rec(1, 3)]
+    """The legacy JSON format is retired: its bodies are rejected readably."""
 
     def test_v1_garbage_rejected_readably(self):
         for bad in (b"{}", b'{"f": 0}', b'{"f": 0, "t": 1}',
-                    b'{"f": 0, "t": 1, "ms": "nope"}', b"[1,2]", b"{broken"):
-            with pytest.raises(WireFormatError):
+                    b'{"f": 0, "t": 1, "ms": "nope"}', b"[1,2]", b"{broken",
+                    b'{"f":1,"t":2,"ms":[{"k":"ACK","d":3,"c":7}]}'):
+            with pytest.raises(WireFormatError, match="not the wire tag"):
                 decode_frame_body(bad)
 
 
 class TestVersionDispatch:
     def test_first_byte_discriminates(self):
-        v2 = encode_records(0, 1, [ack_rec(1, 1)], version=WIRE_V2)[4:]
-        v1 = encode_records(0, 1, [ack_rec(1, 1)], version=WIRE_V1)[4:]
-        assert decode_frame_body(v2)[0] == WIRE_V2
-        assert decode_frame_body(v1)[0] == WIRE_V1
+        body = encode_records(0, 1, [ack_rec(1, 1)])[4:]
+        assert body[0] == WIRE_V2
+        assert decode_frame_body(body) == (0, 1, [ack_rec(1, 1)])
+        for tag in (0x01, 0x03, 0x7B):
+            with pytest.raises(WireFormatError, match=f"{tag:#04x}"):
+                decode_frame_body(bytes([tag]) + body[1:])
 
     def test_unknown_tag_rejected(self):
-        with pytest.raises(WireFormatError, match="neither"):
+        with pytest.raises(WireFormatError, match="not the wire tag"):
             decode_frame_body(b"\x09garbage")
         with pytest.raises(WireFormatError, match="empty"):
             decode_frame_body(b"")
-
-    def test_expect_version_message_is_actionable(self):
-        with pytest.raises(WireVersionError, match="--wire-version"):
-            expect_version(WIRE_V1, WIRE_V2)
-        expect_version(WIRE_V2, WIRE_V2)  # no raise
-
-    def test_unknown_encode_version_rejected(self):
-        with pytest.raises(ConfigurationError, match="wire version"):
-            encode_records(0, 1, [], version=3)
 
 
 class TestFraming:
@@ -237,7 +212,7 @@ class TestFraming:
             got, buffer = split_frames(buffer)
             bodies.extend(got)
         assert buffer == b""
-        decoded = [decode_frame_body(b)[3][0]["d"] for b in bodies]
+        decoded = [decode_frame_body(b)[2][0]["d"] for b in bodies]
         assert decoded == [0, 1, 2]
 
     def test_split_frames_rejects_absurd_length(self):
