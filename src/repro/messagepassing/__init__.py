@@ -24,10 +24,11 @@ names; the tests make it concrete.
 
 Channels need not be reliable FIFO: :class:`ChannelFaults` turns the
 scheduler into a lossy/duplicating/reordering adversary, under which the
-naive port demonstrably breaks and :class:`HardenedMPForwardingNode`
-(sequence numbers + retransmission + idempotent acknowledgements — the
-same hop discipline :mod:`repro.runtime` runs over real sockets) stays
-exactly-once.
+naive port demonstrably breaks.  :class:`MPLaneNode` runs the live
+runtime's hop-lane core (:mod:`repro.runtime.lane`: sequence numbers,
+cumulative + selective ACKs, release watermarks, retransmission) under
+the same adversary and stays exactly-once — the seeded adversary and the
+live runtime exercise one implementation.
 """
 
 from repro.messagepassing.engine import (
@@ -38,8 +39,8 @@ from repro.messagepassing.engine import (
     MPNode,
 )
 from repro.messagepassing.forwarding import (
-    HardenedMPForwardingNode,
     MPForwardingNode,
+    MPLaneNode,
     build_mp_network,
 )
 
@@ -49,7 +50,7 @@ __all__ = [
     "LocalAction",
     "MessagePassingSimulator",
     "MPNode",
-    "HardenedMPForwardingNode",
     "MPForwardingNode",
+    "MPLaneNode",
     "build_mp_network",
 ]

@@ -17,10 +17,9 @@ adversary is weaker still: :class:`ChannelFaults` makes delivery *lossy*
 handed over and a copy re-enqueued at the tail) and/or *reordering* (a
 random queue position is delivered instead of the head), all driven by the
 simulator's seeded RNG.  The naive port breaks under these (see the tests);
-the hardened port of :mod:`repro.messagepassing.forwarding` adds sequence
-numbers, retransmission and idempotent acknowledgements — the same
-discipline :mod:`repro.runtime.node` uses over real sockets — and stays
-exactly-once.
+the live runtime's hop-lane core (:mod:`repro.runtime.lane`: sequence
+numbers, retransmission, idempotent acknowledgements), driven here by
+:class:`~repro.messagepassing.forwarding.MPLaneNode`, stays exactly-once.
 """
 
 from __future__ import annotations

@@ -17,7 +17,8 @@ from repro.runtime.conformance import (
     check_events,
 )
 from repro.runtime.netem import NetemConfig, NetemTransport
-from repro.runtime.node import RuntimeNode, RuntimeParams
+from repro.runtime.lane import RuntimeParams
+from repro.runtime.node import RuntimeNode
 from repro.runtime.transport import (
     LocalTransport,
     TcpTransport,

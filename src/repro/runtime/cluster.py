@@ -37,7 +37,8 @@ from repro.network.topologies import topology_by_name
 from repro.routing.static import StaticRouting
 from repro.runtime.conformance import ConformanceReport, RuntimeEvent, check_events
 from repro.runtime.netem import NetemConfig, NetemTransport
-from repro.runtime.node import RuntimeNode, RuntimeParams
+from repro.runtime.lane import RuntimeParams
+from repro.runtime.node import RuntimeNode
 from repro.runtime.sharding import partition as shard_destinations
 from repro.runtime.transport import (
     LocalTransport,
@@ -46,12 +47,8 @@ from repro.runtime.transport import (
     allocate_ports,
 )
 
-_WORKLOADS = {
-    "uniform": workload_mod.uniform_workload,
-    "hotspot": workload_mod.hotspot_workload,
-    "permutation": workload_mod.permutation_workload,
-    "burst": workload_mod.burst_workload,
-}
+#: Workloads a live cluster runs (a scenario's runtime target shares them).
+RUNTIME_WORKLOADS = frozenset({"uniform", "hotspot"})
 
 
 @dataclass
@@ -89,6 +86,13 @@ class ClusterSpec:
     #: has no one place to pause a node or flip a shared netem knob).
     chaos: Optional[List[Dict[str, Any]]] = None
 
+    def __post_init__(self) -> None:
+        if self.workload not in RUNTIME_WORKLOADS:
+            raise ConfigurationError(
+                f"unknown workload {self.workload!r}; the runtime runs "
+                f"{sorted(RUNTIME_WORKLOADS)}"
+            )
+
     def build_network(self) -> Network:
         return topology_by_name(
             self.topology["name"], **self.topology.get("kwargs", {})
@@ -113,15 +117,11 @@ class ClusterSpec:
         net = self.build_network()
         if self.workload == "uniform":
             wl = workload_mod.uniform_workload(net.n, self.messages, seed=self.seed)
-        elif self.workload == "hotspot":
+        else:
             per_source = workload_mod.hotspot_per_source(net.n, self.messages)
             wl = workload_mod.hotspot_workload(
                 net.n, dest=0, per_source=per_source, seed=self.seed
             )
-        elif self.workload in _WORKLOADS:
-            wl = _WORKLOADS[self.workload](net.n, seed=self.seed)
-        else:
-            raise ConfigurationError(f"unknown workload {self.workload!r}")
         return list(wl.submissions)
 
     def build_netem(self) -> Optional[NetemConfig]:

@@ -98,9 +98,6 @@ _RUNTIME_KEYS = frozenset(
     {"transport", "procs", "window", "max_batch", "netem", "drain_grace",
      "tick", "port_base"}
 )
-#: Workloads with a shared meaning on both targets (the simulator accepts
-#: every :mod:`repro.sim.spec` workload — validated per-target below).
-_SHARED_WORKLOADS = frozenset({"uniform", "hotspot"})
 
 TARGETS = ("simulate", "runtime")
 
@@ -183,10 +180,12 @@ class ScenarioSpec:
                 "governs both targets (campaign repeats offset it per run)"
             )
         if target == "runtime":
-            if wl_name not in _SHARED_WORKLOADS:
+            from repro.runtime.cluster import RUNTIME_WORKLOADS
+
+            if wl_name not in RUNTIME_WORKLOADS:
                 raise ConfigurationError(
                     f"workload {wl_name!r} is simulate-only; the runtime "
-                    f"target supports {sorted(_SHARED_WORKLOADS)}"
+                    f"target supports {sorted(RUNTIME_WORKLOADS)}"
                 )
             if wl_name == "hotspot" and int(wl_kwargs.get("dest", 0)) != 0:
                 raise ConfigurationError(

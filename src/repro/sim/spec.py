@@ -165,6 +165,11 @@ def simulation_from_spec(
         _reject_unknown("garbage", garbage, _GARBAGE_KEYS)
         garbage = dict(garbage)
         garbage.setdefault("seed", seed)
+        fraction = garbage.get("fraction", 0.3)
+        if not (isinstance(fraction, (int, float)) and 0 <= fraction <= 1):
+            raise ConfigurationError(
+                f"garbage.fraction must be a number in [0, 1], got {fraction!r}"
+            )
 
     daemon = None
     if "daemon" in spec:

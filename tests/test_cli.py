@@ -282,6 +282,32 @@ class TestReadableErrors:
         code = main(["record", str(path), "-o", str(tmp_path / "rec.json")])
         self._assert_readable(code, capsys, "bad workload kwargs for 'uniform'")
 
+    @pytest.mark.parametrize("fraction", ["1.5", "-0.5"])
+    def test_simulate_garbage_fraction_out_of_range(self, fraction, capsys):
+        code = main(["simulate", "--n", "4", "--garbage", fraction])
+        self._assert_readable(code, capsys, "garbage.fraction")
+
+    def test_record_garbage_fraction_out_of_range(self, tmp_path, capsys):
+        import json
+
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(self._spec(garbage={"fraction": 1.5})))
+        code = main(["record", str(path), "-o", str(tmp_path / "rec.json")])
+        self._assert_readable(code, capsys, "garbage.fraction")
+
+    def test_scenario_sim_garbage_fraction_out_of_range(self, tmp_path, capsys):
+        import json
+
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({
+            "name": "bad-garbage",
+            "topology": {"name": "ring", "kwargs": {"n": 4}},
+            "workload": {"name": "uniform", "kwargs": {"count": 4}},
+            "sim": {"garbage": {"fraction": -0.5}},
+        }))
+        code = main(["scenario", "run", str(path)])
+        self._assert_readable(code, capsys, "garbage.fraction")
+
 
 def _simulate_counts(out):
     line = next(l for l in out.splitlines() if l.startswith("steps="))

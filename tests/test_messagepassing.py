@@ -13,8 +13,8 @@ from repro.messagepassing.engine import (
 from repro.messagepassing.forwarding import (
     ACCEPT,
     OFFER,
-    HardenedMPForwardingNode,
     MPForwardingNode,
+    MPLaneNode,
     build_mp_network,
 )
 from repro.network.topologies import (
@@ -342,8 +342,8 @@ class TestHardenedPortUnderFaults:
         assert done
         assert ledger.valid_delivered_count == 8
         assert sim.duplicated_messages > 0  # the adversary really acted
-        dups_reacked = sum(n.dup_offers_reacked for n in nodes)
-        stale = sum(n.stale_frames_dropped for n in nodes)
+        dups_reacked = sum(n.lanes.counters["dup_data_acked"] for n in nodes)
+        stale = sum(n.lanes.counters["stale_records_dropped"] for n in nodes)
         assert dups_reacked + stale > 0  # and the port really deduplicated
 
     def test_loss_forces_retransmissions(self):
@@ -355,7 +355,7 @@ class TestHardenedPortUnderFaults:
         assert done
         assert ledger.valid_delivered_count == 5
         assert sim.lost_messages > 0
-        assert sum(n.retransmissions for n in nodes) > 0
+        assert sum(n.lanes.counters["retries"] for n in nodes) > 0
 
     def test_fault_free_channels_unchanged(self):
         # With no faults the hardened port behaves like the naive one.
@@ -386,3 +386,44 @@ class TestHardenedPortUnderFaults:
             if ledger.violations:
                 violating += 1
         assert violating > 0
+
+
+class TestLaneCoreAdversarySweep:
+    """The runtime's lane core (the code the live runtime runs) under the
+    seeded channel adversary, at the windows the runtime actually runs:
+    1 (``ssmfp2``'s cap) and 32 (``ssmfp``'s default)."""
+
+    FAULTS = TestHardenedPortUnderFaults.FAULTS + [
+        pytest.param(ChannelFaults(), id="none"),
+    ]
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("faults", FAULTS)
+    @pytest.mark.parametrize("window", [1, 32])
+    @pytest.mark.parametrize(
+        "builder", [lambda: ring_network(4), lambda: line_network(4)],
+        ids=["ring4", "line4"],
+    )
+    def test_exactly_once_and_drained(self, builder, window, faults, seed):
+        net = builder()
+        ledger = DeliveryLedger()  # strict: raises on any duplicate/phantom
+        routing = StaticRouting(net)
+        nodes = [
+            MPLaneNode(p, net, routing, ledger, window=window)
+            for p in net.processors()
+        ]
+        sim = MessagePassingSimulator(net, nodes, seed=seed, faults=faults)
+        subs = TestHardenedPortUnderFaults.ring_submissions(net.n, 16)
+        for src, payload, dest in subs:
+            nodes[src].submit(payload, dest)
+
+        def settled(s):
+            return (
+                ledger.generated_count == len(subs)
+                and s.in_flight() == 0
+                and all(node.is_empty() for node in nodes)
+            )
+
+        assert sim.run(500_000, halt=settled, raise_on_limit=False)
+        assert ledger.valid_delivered_count == len(subs)
+        assert ledger.all_valid_delivered() and not ledger.violations

@@ -1,13 +1,17 @@
-"""Tests for the live node's windowed hop protocol: pipelining, cumulative
-+ selective acknowledgement, release watermarks, RTO behavior."""
+"""Tests for the windowed hop protocol: pipelining, cumulative + selective
+acknowledgement, release watermarks, RTO behavior.  The lane core is driven
+by hand through its entry points (no transport, no event loop); the last
+classes run the asyncio shell end to end."""
 
 import asyncio
+import time
 
 import pytest
 
 from repro.network.topologies import line_network
 from repro.routing.static import StaticRouting
-from repro.runtime.node import MAX_WINDOW, RuntimeNode, RuntimeParams
+from repro.runtime.lane import MAX_WINDOW, LaneCore, RuntimeParams
+from repro.runtime.node import RuntimeNode
 from repro.runtime.transport import LocalTransport
 from repro.runtime.wire import (
     ACK,
@@ -23,19 +27,26 @@ from repro.runtime.wire import (
 
 
 def make_node(pid=1, n=2, **params):
-    """A node whose wire handlers we drive by hand (no event loop)."""
+    """A lane core driven by hand; its events land in ``node.emitted``."""
     net = line_network(n)
-    transport = LocalTransport(net)
-    node = RuntimeNode(
-        pid, net, StaticRouting(net), transport, RuntimeParams(**params)
+    emitted = []
+    node = LaneCore(
+        pid, net, StaticRouting(net), RuntimeParams(**params),
+        lambda *event: emitted.append(event),
     )
+    node.emitted = emitted
     return node
 
 
 def handle(node, src, rec, out, now=None):
-    import time
+    node.handle_batch(src, [rec], time.monotonic() if now is None else now, out)
 
-    node._handle_batch(src, [rec], time.monotonic() if now is None else now, out)
+
+def step(node, out):
+    """One driver turn: run the rules, then fire whatever timers expired."""
+    now = time.monotonic()
+    node.advance(now, out)
+    node.fire_timers(now, out)
 
 
 def sent_data(out):
@@ -110,7 +121,7 @@ class TestReceiverWindow:
     def test_malformed_records_dropped(self):
         node = make_node()
         out = []
-        node._handle_batch(
+        node.handle_batch(
             0,
             [
                 {"k": "DATA"},                      # missing fields
@@ -169,23 +180,24 @@ class TestSenderWindow:
         for i in range(10):
             node.submit(f"m{i}", 1)
         out = []
-        node._advance(out)
+        step(node, out)
         datas = sent_data(out)
         assert len(datas) == 4  # window, not stop-and-wait
         assert [d["s"] for d in datas] == [1, 2, 3, 4]
         assert node.in_flight() == 4
         assert node.counters["generated"] == 4  # generation is window-gated
+        assert node.emitted == [("generated", 2 * i + 1, 1, True) for i in range(4)]
 
     def test_cumulative_ack_slides_window(self):
         node = make_node(pid=0, window=4)
         for i in range(6):
             node.submit(f"m{i}", 1)
         out = []
-        node._advance(out)
+        step(node, out)
         out.clear()
         handle(node, 1, ack_rec(1, 3), out)  # acks seqs 1-3
         assert node.in_flight() == 1
-        node._advance(out)
+        step(node, out)
         assert [d["s"] for d in sent_data(out)] == [5, 6]
         assert node.in_flight() == 3
 
@@ -194,7 +206,7 @@ class TestSenderWindow:
         for i in range(4):
             node.submit(f"m{i}", 1)
         out = []
-        node._advance(out)
+        step(node, out)
         lane = node._out_lanes[(1, 1)]
         expiry_before = lane.expiry
         out.clear()
@@ -208,7 +220,7 @@ class TestSenderWindow:
         for i in range(8):
             node.submit(f"m{i}", 1)
         out = []
-        node._advance(out)
+        step(node, out)
         out.clear()
         lane = node._out_lanes[(1, 1)]
         lane.srtt = 0.0  # no resend-grace for the test
@@ -223,12 +235,12 @@ class TestSenderWindow:
         for i in range(4):
             node.submit(f"m{i}", 1)
         out = []
-        node._advance(out)  # rto 0: the first expiry fires in the same call
+        step(node, out)  # rto 0: the first expiry fires in the same step
         # Window fill (1-4) plus a head-of-line probe — NOT a full resend.
         assert [d["s"] for d in sent_data(out)] == [1, 2, 3, 4, 1]
         assert node.counters["retries"] == 1
         out.clear()
-        node._advance(out)  # second expiry: full age-qualified resend
+        step(node, out)  # second expiry: full age-qualified resend
         assert sorted(d["s"] for d in sent_data(out)) == [1, 2, 3, 4]
         lane = node._out_lanes[(1, 1)]
         assert lane.backoff > 2
@@ -237,8 +249,8 @@ class TestSenderWindow:
         node = make_node(pid=0, window=4, retry_base=0.0, retry_cap=0.0)
         node.submit("m", 1)
         out = []
-        node._advance(out)
-        node._advance(out)
+        step(node, out)
+        step(node, out)
         lane = node._out_lanes[(1, 1)]
         assert lane.backoff > 1
         handle(node, 1, ack_rec(1, 1), out)
@@ -249,8 +261,8 @@ class TestSenderWindow:
         node = make_node(pid=0, retry_base=0.0, retry_cap=0.0)
         node.submit("m", 1)
         out = []
-        node._advance(out)
-        node._advance(out)  # retransmit: Karn forbids sampling this one
+        step(node, out)
+        step(node, out)  # retransmit: Karn forbids sampling this one
         handle(node, 1, ack_rec(1, 1), out)
         lane = node._out_lanes[(1, 1)]
         assert lane.srtt is None
@@ -260,7 +272,7 @@ class TestSenderWindow:
         node = make_node(pid=0)
         node.submit("m", 1)
         out = []
-        node._advance(out)
+        step(node, out)
         out.clear()
         handle(node, 1, ack_rec(1, 99), out)  # beyond anything sent
         assert node.in_flight() == 0 or node.in_flight() == 1
@@ -272,10 +284,10 @@ class TestSenderWindow:
         for i in range(4):
             node.submit(f"m{i}", 1)
         out = []
-        node._advance(out)
+        step(node, out)
         out.clear()
         handle(node, 1, ack_rec(1, 2), out)
-        node._advance(out)
+        step(node, out)
         datas = sent_data(out)
         assert [d["s"] for d in datas] == [3, 4]
         assert all(d["r"] == 2 for d in datas)  # release rides along
@@ -284,14 +296,14 @@ class TestSenderWindow:
         node = make_node(pid=0, retry_base=0.0, retry_cap=0.0)
         node.submit("m", 1)
         out = []
-        node._advance(out)
+        step(node, out)
         handle(node, 1, ack_rec(1, 1), out)
         out.clear()
-        node._advance(out)  # lane quiet, rel unconfirmed: standalone REL
+        step(node, out)  # lane quiet, rel unconfirmed: standalone REL
         assert sent_kind(out, REL) == [rel_rec(1, 1)]
         handle(node, 1, rack_rec(1, 1), out)
         out.clear()
-        node._advance(out)
+        step(node, out)
         assert sent_kind(out, REL) == []  # confirmed: no more RELs
         assert node.is_idle()
 
@@ -304,9 +316,9 @@ class TestSenderWindow:
         node = make_node(pid=0, retry_base=0.0, retry_cap=0.0, max_attempts=2)
         node.submit("m", 1)
         out = []
-        node._advance(out)
+        step(node, out)
         for _ in range(5):
-            node._advance(out)
+            step(node, out)
         assert node.counters["retries"] == 2
 
 
@@ -345,7 +357,7 @@ class TestObservabilityHooks:
         for i in range(10):
             node.submit(f"m{i}", 1)
         out = []
-        node._advance(out)
+        step(node, out)
         assert node.window_occupancy() == [4]
 
 
