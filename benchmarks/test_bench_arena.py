@@ -137,8 +137,8 @@ def test_bench_arena_family_head_to_head(benchmark):
     # SSMFP2's adoption (F2) replaces it one-for-one and generation (F1)
     # starts already owned — one move per delivery saved.  What SSMFP2
     # gives up is concurrency, which the abstract move count cannot see:
-    # the single fused buffer forces stop-and-wait lanes in the runtime
-    # (window cap 1 vs SSMFP's pipelined window).
+    # a single fused buffer per hop admits only stop-and-wait lanes, where
+    # SSMFP's two buffers admit a pipelined window.
     for scenario, _, _, _ in _ARENA_SCENARIOS:
         one = by_key[(scenario, "ssmfp")]
         two = by_key[(scenario, "ssmfp2")]

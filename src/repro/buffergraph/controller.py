@@ -41,11 +41,6 @@ class DeadlockFreeController:
         self._graph = graph
         self._rank: Dict[BufferId, int] = {b: i for i, b in enumerate(order)}
 
-    @property
-    def graph(self) -> BufferGraph:
-        """The underlying buffer graph."""
-        return self._graph
-
     def rank(self, b: BufferId) -> int:
         """Position of ``b`` in the certified topological order."""
         return self._rank[b]

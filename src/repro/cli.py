@@ -253,8 +253,8 @@ def _build_parser() -> argparse.ArgumentParser:
             _instance_flags(
                 "ring", n=8, rows=3, cols=3, dim=3,
                 protocol_help="forwarding protocol the cluster runs "
-                              "(registry name; ssmfp2 caps lanes at "
-                              "window 1 — stop-and-wait hops)",
+                              "(the live lane core is SSMFP's, so only "
+                              "ssmfp is accepted)",
             ),
             _workload_flags(messages=200),
         ],

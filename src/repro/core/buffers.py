@@ -16,7 +16,7 @@ O(live messages), not O(n²).
 
 Every mutation goes through :meth:`set_r` / :meth:`set_e` /
 :meth:`move_r_to_e`, so an optional *write notifier* installed with
-:meth:`bind_notifier` sees every buffer write ``(d, p, kind)`` — the hook
+:meth:`add_notifier` sees every buffer write ``(d, p, kind)`` — the hook
 the incremental engine uses to maintain its dirty sets.
 """
 
@@ -89,11 +89,6 @@ class ForwardingBuffers:
         #: O(n) sweep of the counts.
         self._occupied_set: Set[DestId] = set()
         self._notify: Optional[WriteNotifier] = None
-
-    def bind_notifier(self, notify: Optional[WriteNotifier]) -> None:
-        """Install (or remove) the write-notification hook, replacing any
-        hooks currently bound."""
-        self._notify = notify
 
     def add_notifier(self, notify: WriteNotifier) -> None:
         """Chain one more write-notification hook *behind* whatever is

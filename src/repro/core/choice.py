@@ -73,11 +73,6 @@ class FairChoiceQueue:
         self._notify: Optional[ChangeNotifier] = None
         self._key: object = None
 
-    @property
-    def policy(self) -> str:
-        """The selection policy ("fifo" is the paper's)."""
-        return self._policy
-
     def bind_notifier(self, notify: Optional[ChangeNotifier], key: object) -> None:
         """Install the change-notification hook; ``key`` identifies this
         queue to the receiver (SSMFP binds its ``(d, p)`` coordinates)."""

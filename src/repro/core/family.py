@@ -30,9 +30,7 @@ concrete protocol (``repro.core.protocol.SSMFP``,
 * :meth:`offered_message` — the message a neighbor is currently offering
   for forwarding (the candidate predicate and the aged-policy priority);
 * :meth:`buffer_graph` — the protocol's Merlin-Schweitzer buffer graph
-  shape (acyclicity is the deadlock-freedom argument);
-* ``runtime_window_cap`` — the per-lane pipelining the live runtime may
-  use while staying faithful to the protocol's buffer budget.
+  shape (acyclicity is the deadlock-freedom argument).
 
 Everything else — the incremental dirty-component machinery (PR 1/3), the
 sparse lazy queues (PR 7), footprint trails for partial-order reduction
@@ -107,10 +105,6 @@ class ForwardingProtocol(Protocol):
     buffer_kinds: Tuple[str, ...] = ("R", "E")
     #: The plane whose writes change neighbors' candidate sets.
     offer_kind = "E"
-    #: Max in-flight records per (edge, destination) lane a live runtime
-    #: may pipeline while honoring the protocol's buffer budget
-    #: (``None`` = no protocol-imposed cap).
-    runtime_window_cap: Optional[int] = None
 
     def offered_message(self, d: DestId, q: ProcId) -> Optional[Message]:
         """The message processor ``q`` currently offers for forwarding in
@@ -159,10 +153,6 @@ class ForwardingProtocol(Protocol):
 
         # -- incremental-engine state ---------------------------------------
         n = net.n
-        #: Whether the routing provider reports its table mutations; without
-        #: that discipline no derived state can be cached safely and the
-        #: protocol behaves exactly like the pre-incremental engine.
-        self._incremental = bool(getattr(routing, "notifies_mutations", False))
         self._aged = choice_policy in ("aged", "aged_fair")
         # aged_fair wait-ages advance once per sync, so reconciliation must
         # stay a full per-step sweep to keep the paper-equivalent semantics.
@@ -195,15 +185,14 @@ class ForwardingProtocol(Protocol):
         self._nbhd: List[Tuple[ProcId, ...]] = [
             (p, *net.neighbors(p)) for p in net.processors()
         ]
-        if self._incremental:
-            # add_notifier (not bind) so later subscribers — the
-            # message-lifecycle tracer of ``repro.obs`` — chain behind the
-            # dirty-set hook instead of silently replacing it.
-            self.bufs.add_notifier(self._on_buffer_write)
-            self.hl.bind_notifier(self._on_request_change)
-            routing.add_observer(self._on_routing_change)
-            # Applied to every queue at materialization with key (d, p).
-            self.queues.bind_notifier(self._on_queue_event)
+        # add_notifier (not bind) so later subscribers — the
+        # message-lifecycle tracer of ``repro.obs`` — chain behind the
+        # dirty-set hook instead of silently replacing it.
+        self.bufs.add_notifier(self._on_buffer_write)
+        self.hl.bind_notifier(self._on_request_change)
+        routing.add_observer(self._on_routing_change)
+        # Applied to every queue at materialization with key (d, p).
+        self.queues.bind_notifier(self._on_queue_event)
 
     # -- shared procedures ---------------------------------------------------
 
@@ -215,9 +204,7 @@ class ForwardingProtocol(Protocol):
 
     def next_hop(self, q: ProcId, d: DestId) -> ProcId:
         """``nextHop_q(d)`` through the per-entry cache (invalidated by the
-        routing observer; bypassed for non-notifying providers)."""
-        if not self._incremental:
-            return self.routing.next_hop(q, d)
+        routing observer)."""
         row = self._nh_cache.get(d)
         if row is None:
             row = self._nh_cache[d] = {}
@@ -326,8 +313,6 @@ class ForwardingProtocol(Protocol):
         self._resync.clear()
 
     def dirty_after(self, selection) -> Optional[Set[ProcId]]:
-        if not self._incremental:
-            return None
         if self._all_dirty:
             self._all_dirty = False
             self._components.invalidate_all()
@@ -344,16 +329,16 @@ class ForwardingProtocol(Protocol):
     def before_step(self, step: int) -> None:
         """Environment phase: raise requests, reconcile choice queues.
 
-        With the incremental engine, only queues whose candidate sets may
-        have changed since the previous step (recorded by the notifier
-        hooks) are reconciled; otherwise every destination component that
-        can possibly act (occupied buffers or a pending request) is swept —
-        idle components have no candidates by definition, and their rules'
-        guards are all false.
+        Once the simulator drains dirty sets, only queues whose candidate
+        sets may have changed since the previous step (recorded by the
+        notifier hooks) are reconciled; otherwise every destination
+        component that can possibly act (occupied buffers or a pending
+        request) is swept — idle components have no candidates by
+        definition, and their rules' guards are all false.
         """
         self.current_step = step
         self.hl.before_step(step)
-        if self._incremental and not self._all_dirty and not self._sync_every_step:
+        if not self._all_dirty and not self._sync_every_step:
             resync = self._resync
             if resync:
                 self._resync = {}
@@ -371,7 +356,7 @@ class ForwardingProtocol(Protocol):
         for d in active:
             for p in procs:
                 self._sync_queue(d, p)
-        if self._incremental and not self._residue_purged and not self._sync_every_step:
+        if not self._residue_purged and not self._sync_every_step:
             # One-time purge of scrambled initial queue entries in *inactive*
             # components.  The classic engine removes them lazily the step
             # the component activates (with no offered message and no
@@ -502,7 +487,7 @@ class ForwardingProtocol(Protocol):
         dirty.clear()
 
     def enabled_actions(self, pid: ProcId) -> List[Action]:
-        if not self._incremental or self._all_dirty:
+        if self._all_dirty:
             return self._scan_enabled(pid, count=True)
         cache = self._components
         if not cache.valid[pid]:

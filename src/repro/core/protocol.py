@@ -52,7 +52,6 @@ class SSMFP(ForwardingProtocol):
     forwarding_rules = ("R2", "R3")
     buffer_kinds = ("R", "E")
     offer_kind = "E"
-    runtime_window_cap = None  # two buffers per hop → lanes may pipeline
 
     def __init__(
         self,

@@ -13,10 +13,9 @@ The trade-off against SSMFP (see ``docs/protocols.md``): *n* buffers per
 processor instead of *2n* — the Figure-1 destination-based buffer graph
 instead of Figure-2 — at the price of a serialized hop handshake: a
 buffer holds either the original or the freshly forwarded copy, never
-both, so a lane cannot pipeline (``runtime_window_cap = 1`` — a faithful
-live runtime runs its lanes stop-and-wait) and a copy must be *adopted*
-(rule F2) before it can move again, one extra move per hop and per
-delivery.
+both, so a hop cannot pipeline (a faithful live lane would run
+stop-and-wait; the live runtime executes SSMFP only) and a copy must be
+*adopted* (rule F2) before it can move again.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ class SSMFP2(ForwardingProtocol):
     forwarding_rules = ("F2", "F3")
     buffer_kinds = ("R",)
     offer_kind = "R"
-    runtime_window_cap = 1  # one fused buffer per hop → stop-and-wait lanes
 
     def offered_message(self, d: DestId, q: ProcId) -> Optional[Message]:
         """SSMFP2 offers through the fused buffer, but only *owned*

@@ -34,7 +34,6 @@ from repro.network.topologies import (
 from repro.sim.metrics import RoundClock, delivery_latency_rounds
 from repro.sim.reporting import format_table
 from repro.sim.runner import build_simulation, delivered_and_drained
-from repro.statemodel.trace import TraceRecorder
 
 TOPOLOGIES: Dict[str, callable] = {
     "star(9)": lambda: star_network(9),
@@ -89,7 +88,6 @@ def run_one(
     """One probe run; returns the measured row."""
     net = TOPOLOGIES[topology]()
     workload, src, dest = _probe_workload(net, contention_per_source)
-    trace = TraceRecorder(kinds=("round",))  # round markers only; skips action Events
     sim = build_simulation(
         net,
         workload=workload,
@@ -97,7 +95,6 @@ def run_one(
             {"kind": "worst", "seed": seed} if corrupted else None
         ),
         garbage={"fraction": 0.3, "seed": seed} if corrupted else None,
-        trace=trace,
         seed=seed,
     )
     # Track the empirical R_A: the first round after which tables stay
@@ -113,7 +110,7 @@ def run_one(
             break
     assert sim.ledger.all_valid_delivered()
 
-    clock = RoundClock(trace)
+    clock = RoundClock(sim.sim.round_ends)
     latencies = delivery_latency_rounds(sim.ledger, clock)
     uid = _probe_uid(sim, src, dest)
     delta = max_degree(net)

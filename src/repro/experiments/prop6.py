@@ -24,7 +24,6 @@ from repro.network.topologies import grid_network, line_network, ring_network, s
 from repro.sim.metrics import RoundClock
 from repro.sim.reporting import format_table
 from repro.sim.runner import build_simulation, delivered_and_drained
-from repro.statemodel.trace import TraceRecorder
 
 TOPOLOGIES = {
     "line(7)": (lambda: line_network(7), 3),      # middle of the path
@@ -54,13 +53,11 @@ def run_one(topology: str, corrupted: bool, seed: int, stream: int = 4) -> Dict[
         subs.append((0, p, f"bg{p}.1", dest))
     workload = Workload("saturation", subs)
 
-    trace = TraceRecorder(kinds=("round",))  # round markers only; skips action Events
     sim = build_simulation(
         net,
         workload=workload,
         routing_corruption={"kind": "worst", "seed": seed} if corrupted else None,
         garbage={"fraction": 0.3, "seed": seed} if corrupted else None,
-        trace=trace,
         seed=seed,
     )
     # Generation steps of the emitter's own messages, in order.
@@ -85,7 +82,7 @@ def run_one(topology: str, corrupted: bool, seed: int, stream: int = 4) -> Dict[
             gen_steps.append(info[2])
     gen_steps.sort()
 
-    clock = RoundClock(trace)
+    clock = RoundClock(sim.sim.round_ends)
     first_round = clock.round_of_step(gen_steps[0])
     delay = first_round - clock.round_of_step(request_step or 0)
     waits = [

@@ -1,18 +1,17 @@
 """The metrics registry: counters, gauges and histograms.
 
 ``repro.obs`` is the structured observability layer: where the ledger and
-the trace recorder capture *what happened* in one execution, the registry
-captures *how much and how expensive* — per-rule/per-protocol execution
-counts and wall-time, guard-evaluation counts, round and neutralization
-events — as named, labeled instruments that export to schema-versioned
-JSONL rows (:mod:`repro.obs.export`).
+the simulator's step reports capture *what happened* in one execution, the
+registry captures *how much and how expensive* — per-rule/per-protocol
+execution counts and wall-time, guard-evaluation counts, round and
+neutralization events — as named, labeled instruments that export to
+schema-versioned JSONL rows (:mod:`repro.obs.export`).
 
 Instrumentation is strictly opt-in.  The :class:`Simulator` takes an
 optional registry and guards every record with a single ``is not None``
 check, so a run without a registry pays nothing; :class:`NullRegistry`
 additionally lets library code hold a registry-shaped object
-unconditionally and still do no work (the same trick as the trace
-recorder's ``kinds`` gate).
+unconditionally and still do no work.
 
 Histograms use the repo's exact nearest-rank percentiles
 (:func:`repro.sim.stats.summarize`) — no new numeric dependencies.

@@ -260,11 +260,6 @@ class MessageTracer:
             }
         )
 
-    @property
-    def fault_count(self) -> int:
-        """Number of faults recorded so far."""
-        return len(self._faults)
-
     # -- queries -----------------------------------------------------------------
 
     def uids(self) -> List[int]:
@@ -275,10 +270,6 @@ class MessageTracer:
         """The causal timeline of one uid, in step order (ties broken by
         the causal order of one atomic step, then by arrival)."""
         return [e for *_, e in sorted(self._events.get(uid, []))]
-
-    def timelines(self) -> Dict[int, List[LifecycleEvent]]:
-        """All timelines, keyed by uid."""
-        return {uid: self.timeline(uid) for uid in self.uids()}
 
     def is_complete(self, uid: int) -> bool:
         """True iff the uid's timeline runs generation → delivery."""

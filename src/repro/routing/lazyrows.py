@@ -17,7 +17,7 @@ land in the store.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Set, Tuple, TypeVar
+from typing import Callable, Dict, List, Set, TypeVar
 
 T = TypeVar("T")
 
@@ -54,10 +54,6 @@ class LazyRows:
     def materialized(self) -> Set[int]:
         """Destinations with a materialized row (copy, safe to mutate)."""
         return set(self._rows)
-
-    def items(self) -> Iterator[Tuple[int, List[T]]]:
-        """Materialized ``(d, row)`` pairs (unordered)."""
-        return iter(self._rows.items())
 
     def __len__(self) -> int:
         return len(self._rows)

@@ -57,7 +57,6 @@ class SelfStabilizingBFSRouting(Protocol, RoutingService):
     """
 
     name = "A"
-    notifies_mutations = True
     tracks_components = True
 
     def __init__(self, net: Network) -> None:

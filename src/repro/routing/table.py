@@ -10,11 +10,9 @@ Change observation
 The incremental engine caches ``next_hop`` values and enabled-action sets,
 so it must learn when a table entry moves.  :class:`RoutingService` carries
 a lightweight observer mechanism: consumers register a callback with
-:meth:`add_observer`; providers that mutate their tables call
+:meth:`add_observer`; providers that mutate their tables must call
 :meth:`_notify_entry` per changed entry (or :meth:`_notify_all` for bulk
-rewrites) and advertise the discipline with ``notifies_mutations = True``.
-Providers that leave the flag False (the safe default for out-of-tree
-subclasses) simply disable incremental caching in their consumers.
+rewrites), because consumers trust the cached values until told otherwise.
 """
 
 from __future__ import annotations
@@ -41,11 +39,6 @@ class RoutingService(ABC):
     * for ``p == d`` the value is unused by the forwarding rules (R4 guards
       on ``p != d``); providers return ``p`` itself by convention.
     """
-
-    #: True iff every mutation of this provider's tables is reported to the
-    #: registered observers.  Consumers may cache ``next_hop`` values and
-    #: derived state only when this holds.
-    notifies_mutations: bool = False
 
     @abstractmethod
     def next_hop(self, p: ProcId, d: DestId) -> ProcId:

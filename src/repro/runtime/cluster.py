@@ -31,6 +31,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.app import workload as workload_mod
+from repro.core.protocol import SSMFP
+from repro.core.registry import resolve
 from repro.errors import ConfigurationError
 from repro.network.graph import Network
 from repro.network.topologies import topology_by_name
@@ -58,12 +60,10 @@ class ClusterSpec:
     topology: Dict[str, Any]
     messages: int = 100
     seed: int = 0
-    #: Forwarding protocol the cluster emulates (registry name).  The live
-    #: hop protocol is the same DATA/ACK/REL/RACK lane machinery for every
-    #: family member; what differs is the buffer budget, enforced through
-    #: the protocol's ``runtime_window_cap`` — SSMFP's two buffers per hop
-    #: admit pipelined lanes, SSMFP2's single fused buffer caps every lane
-    #: at window 1 (stop-and-wait).
+    #: Forwarding protocol the cluster runs (registry name).  The live hop
+    #: protocol is SSMFP's lane core, so ``"ssmfp"`` is the only name the
+    #: runtime accepts; any other registered protocol is rejected rather
+    #: than reported under a name that does not execute.
     protocol: str = "ssmfp"
     transport: str = "local"            #: "local" | "tcp"
     procs: int = 1                      #: >1 => multi-process (tcp only)
@@ -92,6 +92,11 @@ class ClusterSpec:
                 f"unknown workload {self.workload!r}; the runtime runs "
                 f"{sorted(RUNTIME_WORKLOADS)}"
             )
+        if resolve(self.protocol) is not SSMFP:
+            raise ConfigurationError(
+                f"the runtime executes only SSMFP's lane protocol; protocol "
+                f"{self.protocol!r} runs on the simulator and the verifier only"
+            )
 
     def build_network(self) -> Network:
         return topology_by_name(
@@ -99,17 +104,11 @@ class ClusterSpec:
         )
 
     def build_params(self) -> RuntimeParams:
-        from repro.core.registry import resolve
-
-        window = self.window
-        cap = resolve(self.protocol).runtime_window_cap
-        if cap is not None:
-            window = min(window, cap)
         return RuntimeParams(
             tick=self.tick,
             retry_base=self.retry_base,
             retry_cap=self.retry_cap,
-            window=window,
+            window=self.window,
             max_batch=self.max_batch,
         )
 

@@ -185,10 +185,11 @@ def _check_sequences(
                 continue  # phantom: already flagged by the ledger
             per_source.setdefault(source, []).append(uid)
         for source, got in per_source.items():
+            delivered = set(got)
             expected = [
                 uid
                 for uid in per_pair_generated.get((source, dest), [])
-                if uid in set(got)
+                if uid in delivered
             ]
             if got != expected:
                 report.sequence_violations.append(

@@ -10,7 +10,7 @@ while feeding the workload and exposes the pieces for inspection.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Union
 
 from repro.app.higher_layer import HigherLayer
 from repro.app.workload import Workload
@@ -30,7 +30,6 @@ from repro.statemodel.composition import PriorityStack
 from repro.statemodel.daemon import Daemon, DistributedRandomDaemon
 from repro.statemodel.protocol import Protocol
 from repro.statemodel.scheduler import RunResult, Simulator
-from repro.statemodel.trace import TraceRecorder
 
 
 @dataclass
@@ -199,7 +198,6 @@ def build_simulation(
     scramble_choice_queues: bool = False,
     strict_invariants: bool = False,
     ledger_strict: bool = True,
-    trace: Optional[TraceRecorder] = None,
     protocol: str = "ssmfp",
     protocol_options: Optional[Dict] = None,
     ssmfp_options: Optional[Dict] = None,
@@ -273,7 +271,7 @@ def build_simulation(
         daemon = DistributedRandomDaemon(seed=seed)
     hooks = [InvariantChecker(proto).as_hook()] if strict_invariants else None
     sim = Simulator(
-        net.n, stack, daemon, trace=trace, strict_hooks=hooks,
+        net.n, stack, daemon, strict_hooks=hooks,
         full_scan=full_scan, debug_check=debug_check, obs=obs,
     )
     simulation = Simulation(
@@ -296,7 +294,6 @@ def build_baseline_simulation(
     routing_corruption: Optional[Dict] = None,
     naive_buffers: int = 2,
     atomic_moves: bool = True,
-    trace: Optional[TraceRecorder] = None,
     obs: Optional[object] = None,
     tracer: Optional[object] = None,
 ) -> Simulation:
@@ -322,7 +319,7 @@ def build_baseline_simulation(
     )
     if daemon is None:
         daemon = DistributedRandomDaemon(seed=seed)
-    sim = Simulator(net.n, PriorityStack(protocols), daemon, trace=trace, obs=obs)
+    sim = Simulator(net.n, PriorityStack(protocols), daemon, obs=obs)
     simulation = Simulation(
         net=net, routing=routing, forwarding=proto, hl=hl,
         ledger=ledger, sim=sim, workload=workload, obs=obs, tracer=tracer,

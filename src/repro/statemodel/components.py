@@ -80,17 +80,8 @@ class _AutoMap:
         """Non-materializing read: the container or None."""
         return self._rows.get(pid)
 
-    def prune(self) -> None:
-        """Drop materialized-but-empty slots (quiescence eviction)."""
-        stale = [pid for pid, row in self._rows.items() if not row]
-        for pid in stale:
-            del self._rows[pid]
-
     def clear(self) -> None:
         self._rows.clear()
-
-    def __len__(self) -> int:
-        return len(self._rows)
 
 
 class ComponentDirtyCache:
@@ -132,17 +123,6 @@ class ComponentDirtyCache:
         self.dirty.clear()
         self.dirty_pids.clear()
         self.entries.clear()
-
-    def prune(self) -> None:
-        """Evict empty per-processor slots so a processor whose traffic
-        quiesced costs no memory again."""
-        self.dirty.prune()
-        self.entries.prune()
-
-    def materialized_pids(self) -> Set[ProcId]:
-        """Processors with any materialized slot — the memory footprint
-        index used by tests and the scale bench."""
-        return set(self.dirty._rows) | set(self.entries._rows)
 
     def assemble(self, pid: ProcId) -> List[Action]:
         """``pid``'s enabled list from its non-empty component entries, in

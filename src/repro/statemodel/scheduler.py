@@ -39,7 +39,6 @@ from repro.statemodel.action import Action
 from repro.statemodel.composition import PriorityStack
 from repro.statemodel.daemon import Daemon, EnabledMap
 from repro.statemodel.protocol import Protocol
-from repro.statemodel.trace import Event, TraceRecorder
 from repro.types import ProcId
 
 
@@ -77,9 +76,6 @@ class Simulator:
         prebuilt :class:`PriorityStack`.
     daemon:
         The scheduling adversary.
-    trace:
-        Optional :class:`TraceRecorder`; if omitted a fresh unfiltered
-        recorder is created.
     strict_hooks:
         Optional per-step invariant checkers, called after every step with
         the simulator; used by the core tests to machine-check safety after
@@ -106,7 +102,6 @@ class Simulator:
         n: int,
         protocols: Union[Protocol, Sequence[Protocol], PriorityStack],
         daemon: Daemon,
-        trace: Optional[TraceRecorder] = None,
         strict_hooks: Optional[Sequence[Callable[["Simulator"], None]]] = None,
         *,
         full_scan: bool = False,
@@ -121,10 +116,10 @@ class Simulator:
             self._stack = PriorityStack(list(protocols))
         self._n = n
         self._daemon = daemon
-        self.trace = trace if trace is not None else TraceRecorder()
         self._strict_hooks = list(strict_hooks) if strict_hooks else []
         self._step = 0
         self._rounds_completed = 0
+        self._round_ends: List[int] = []
         self._round_pending: Optional[Set[ProcId]] = None
         self._rule_counts: Counter = Counter()
         self._terminal = False
@@ -161,16 +156,6 @@ class Simulator:
     # -- accessors -----------------------------------------------------------
 
     @property
-    def n(self) -> int:
-        """Number of processors."""
-        return self._n
-
-    @property
-    def stack(self) -> PriorityStack:
-        """The composed protocols."""
-        return self._stack
-
-    @property
     def daemon(self) -> Daemon:
         """The scheduling adversary driving selections."""
         return self._daemon
@@ -190,6 +175,13 @@ class Simulator:
     def round_count(self) -> int:
         """Number of *completed* rounds so far."""
         return self._rounds_completed
+
+    @property
+    def round_ends(self) -> Tuple[int, ...]:
+        """The step ending each completed round, in order: the k-th entry
+        is the last step of round ``k`` (the step whose execution paid the
+        round's final debt)."""
+        return tuple(self._round_ends)
 
     @property
     def rule_counts(self) -> Dict[str, int]:
@@ -298,7 +290,6 @@ class Simulator:
         step_started = perf_counter() if obs is not None else 0.0
         self._stack.before_step(self._step)
         enabled = self.enabled_map()
-        rec = self.trace
         if obs is not None and self.guard_evals != self._obs_guard_seen:
             self._obs_guard.inc(self.guard_evals - self._obs_guard_seen)
             self._obs_guard_seen = self.guard_evals
@@ -322,15 +313,14 @@ class Simulator:
             round_completed = True
             if obs is not None:
                 self._obs_rounds.inc()
-            if rec.wants("round"):
-                # The round completed at the step whose execution paid its
-                # last debt — the *previous* step (completion is detected
-                # at the next evaluation).  Stamp that step, so a marker at
-                # step s means "s is the last step of its round"; the
-                # RoundClock relies on this.  (max() guards the vacuous
-                # round counted when an initially terminal configuration
-                # is revived by the environment before anything executed.)
-                rec.record(Event(step=max(self._step - 1, 0), kind="round"))
+            # The round completed at the step whose execution paid its
+            # last debt — the *previous* step (completion is detected at
+            # the next evaluation).  Record that step, so a round end at
+            # step s means "s is the last step of its round"; the
+            # RoundClock relies on this.  (max() guards the vacuous round
+            # counted when an initially terminal configuration is revived
+            # by the environment before anything executed.)
+            self._round_ends.append(max(self._step - 1, 0))
 
         # A configuration is terminal only while nothing is enabled; the
         # environment (higher layer) may revive it at a later step.
@@ -348,24 +338,12 @@ class Simulator:
         self._validate_selection(selection, enabled)
 
         counts = self._rule_counts
-        record_actions = rec.wants("action")
         if obs is None:
-            for pid, action in selection.items():
+            for action in selection.values():
                 action.execute()
                 counts[action.rule] += 1
-                if record_actions:
-                    rec.record(
-                        Event(
-                            step=self._step,
-                            kind="action",
-                            pid=pid,
-                            rule=action.rule,
-                            protocol=action.protocol,
-                            info=action.info,
-                        )
-                    )
         else:
-            for pid, action in selection.items():
+            for action in selection.values():
                 action_started = perf_counter()
                 action.execute()
                 wall = perf_counter() - action_started
@@ -381,17 +359,6 @@ class Simulator:
                     )
                 rule_count.inc()
                 self._obs_rule_wall[key].inc(wall)
-                if record_actions:
-                    rec.record(
-                        Event(
-                            step=self._step,
-                            kind="action",
-                            pid=pid,
-                            rule=action.rule,
-                            protocol=action.protocol,
-                            info=action.info,
-                        )
-                    )
         self._last_selection = selection
 
         # Round bookkeeping part 2: executions pay the round debt.

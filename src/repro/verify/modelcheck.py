@@ -268,14 +268,11 @@ def expand_state(system, stack, n, vec, depth, max_width, oracle, reducer, resul
 
     POR runs in two passes over one selection list: singletons come first
     in :func:`enumerate_selections` order and their executions are
-    measured through ``proto.footprint_log`` (the PR 3 notifier sinks
-    record the dirtied ``(processor, destination)`` components); composite
+    measured through ``proto.footprint_log`` (the notifier sinks record
+    the dirtied ``(processor, destination)`` components); composite
     selections then consult those measured trails in
     :meth:`IndependenceOracle.admissible`, which sharpens the static
-    neighborhood test to exact component interference.  Instances without
-    the incremental engine (non-notifying routing providers) skip the
-    measurement — the sinks never fire there, so an empty trail would be
-    a false proof of independence — and fall back to the static rules.
+    neighborhood test to exact component interference.
     """
     system.restore(vec)
     try:
@@ -314,7 +311,7 @@ def expand_state(system, stack, n, vec, depth, max_width, oracle, reducer, resul
         return None
 
     proto = system.proto
-    measure = oracle is not None and getattr(proto, "_incremental", False)
+    measure = oracle is not None
     footprints = {} if measure else None
     children = []
     for selection in selections:

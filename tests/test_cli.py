@@ -410,9 +410,9 @@ class TestFrontDoor:
         "flags,fields",
         [
             ([], {}),
-            (["--protocol", "ssmfp2", "--topology", "grid", "--rows", "2",
+            (["--protocol", "SSMFP", "--topology", "grid", "--rows", "2",
               "--cols", "3"],
-             {"protocol": "ssmfp2",
+             {"protocol": "SSMFP",
               "topology": {"name": "grid", "kwargs": {"rows": 2, "cols": 3}}}),
             (["--transport", "tcp", "--procs", "2", "--window", "4",
               "--max-batch", "8", "--deadline", "9", "--seed", "5"],

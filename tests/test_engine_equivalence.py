@@ -225,7 +225,10 @@ class TestEngineEquivalence:
     def test_incremental_is_default(self):
         sim = build_simulation(ring_network(6))
         assert sim.sim._full_scan is False
-        assert sim.forwarding._incremental is True
+        # After the first step's wholesale scan the protocol reports dirty
+        # sets instead of asking for another full scan.
+        sim.step()
+        assert sim.forwarding.dirty_after({}) is not None
 
     def test_guard_evals_drop_on_trickle_traffic(self):
         # The headline claim: sparse traffic on a converged network touches

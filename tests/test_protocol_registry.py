@@ -3,6 +3,8 @@ and every layer that resolves protocols by name (runner, spec, cluster,
 CLI).
 """
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -64,10 +66,6 @@ class TestFamilyContract:
                     f"rule label {label} used by both {seen[label]} and {key}"
                 )
                 seen[label] = key
-
-    def test_runtime_window_caps(self):
-        assert SSMFP.runtime_window_cap is None   # two buffers: pipelined
-        assert SSMFP2.runtime_window_cap == 1     # fused buffer: stop-and-wait
 
     def test_buffer_graphs_build_on_the_same_network(self):
         net = line_network(4)
@@ -131,22 +129,23 @@ class TestRunnerDispatch:
 
 
 class TestClusterSpecProtocol:
-    def test_window_clamped_to_protocol_cap(self):
-        spec = ClusterSpec(
-            topology={"name": "line", "kwargs": {"n": 3}}, protocol="ssmfp2"
-        )
-        assert spec.build_params().window == 1
+    def test_runtime_rejects_protocols_it_does_not_execute(self):
+        # The live lane core is SSMFP's; a cluster must not run it under
+        # another protocol's name.
+        with pytest.raises(ConfigurationError, match="ssmfp2"):
+            ClusterSpec(
+                topology={"name": "line", "kwargs": {"n": 3}}, protocol="ssmfp2"
+            )
 
     def test_default_protocol_keeps_configured_window(self):
         spec = ClusterSpec(topology={"name": "line", "kwargs": {"n": 3}})
         assert spec.build_params().window == spec.window
 
     def test_unknown_protocol_raises_at_build(self):
-        spec = ClusterSpec(
-            topology={"name": "line", "kwargs": {"n": 3}}, protocol="bogus"
-        )
-        with pytest.raises(ConfigurationError):
-            spec.build_params()
+        with pytest.raises(ConfigurationError, match="unknown protocol"):
+            ClusterSpec(
+                topology={"name": "line", "kwargs": {"n": 3}}, protocol="bogus"
+            ).build_params()
 
 
 class TestCliProtocolFlag:
@@ -177,3 +176,23 @@ class TestCliProtocolFlag:
         )
         assert code == 2
         assert "unknown protocol" in capsys.readouterr().err
+
+    def test_runtime_ssmfp2_exits_2(self, capsys):
+        code = main(
+            ["runtime", "--topology", "line", "--n", "3", "--messages", "2",
+             "--protocol", "ssmfp2"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "ssmfp2" in err
+
+    def test_runtime_scenario_ssmfp2_exits_2(self, tmp_path, capsys):
+        spec = tmp_path / "live.json"
+        spec.write_text(json.dumps({
+            "name": "live", "target": "runtime", "protocol": "ssmfp2",
+            "topology": {"name": "line", "kwargs": {"n": 3}},
+            "workload": {"name": "uniform", "kwargs": {"count": 2}},
+        }))
+        assert main(["scenario", "run", str(spec)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "ssmfp2" in err
